@@ -1,14 +1,7 @@
 """Variance-exploding Gaussian bridge diffusion on synthetic inverse problems."""
 
-from .bridge import (
-    BridgeState,
-    TrainingPair,
-    perturbation_weight,
-    perturbed_state,
-    perturbed_target,
-    sample_marginal,
-)
-from .metrics import EvalReport, energy_distance, mse, per_step_errors, perception_distance, si_sdr
+from .bridge import perturbation_weight
+from .metrics import EvalReport, energy_distance, mse, perception_distance, si_sdr
 from .model import (
     AdamState,
     EmaState,
@@ -24,8 +17,8 @@ from .model import (
     loss_and_gradients,
     save_checkpoint,
 )
-from .sampler import SamplerConfig, SamplerKind, Trajectory, ode_step, sample_trajectory, sde_step
-from .schedule import BridgeCoefficients, NoiseSchedule
+from .sampler import SamplerConfig, SamplerKind, ode_step, sde_step
+from .schedule import NoiseSchedule
 from .seeding import named_stream
 from .tasks import LinearGaussianTask, MixtureTask
 from .training import (
@@ -35,7 +28,6 @@ from .training import (
     TrainingStrategy,
     train,
     train_predictor,
-    training_step,
 )
 
 __version__ = "0.1.0"

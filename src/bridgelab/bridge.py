@@ -1,89 +1,51 @@
 """Gaussian bridge marginals and the interpolation perturbation of targets.
 
-Training pairs carry (x, y, x_star): the clean vector, the degraded
+A training batch carries rows (x, y, x_star): the clean vector, the degraded
 measurement, and the posterior-mean estimate (analytic or from a trained
-predictor).  The perturbation interpolates the training target from x toward
-x_star with weight omega(t) = t^2 and builds the matching intermediate state
-from the bridge marginal, so the model trains on simulated prediction errors
-of size omega(t) * (x_star - x).
+predictor), each at its own time t.  The perturbation interpolates the
+training target from x toward x_star with weight omega(t) = t^2; drawing the
+bridge marginal from that target instead of x gives the matching
+intermediate state, so the model trains on simulated prediction errors of
+size omega(t) * (x_star - x).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .schedule import BridgeCoefficients
+from .schedule import NoiseSchedule
 
 
-@dataclass(frozen=True)
-class TrainingPair:
-    """One (clean, measurement, posterior-mean) triple of equal dimension."""
-
-    x: np.ndarray
-    y: np.ndarray
-    x_star: np.ndarray
-
-    def __post_init__(self):
-        x, y, xs = map(np.asarray, (self.x, self.y, self.x_star))
-        if not (x.shape == y.shape == xs.shape):
-            raise ValueError(f"pair vectors must share shape: {x.shape}, {y.shape}, {xs.shape}")
-        if not np.all(np.isfinite(xs)):
-            raise ValueError("x_star must be finite")
-
-
-@dataclass(frozen=True)
-class BridgeState:
-    """An intermediate bridge state x_t together with its time t."""
-
-    x_t: np.ndarray
-    t: float
-
-
-def sample_marginal(
-    coeffs: BridgeCoefficients,
-    x0: np.ndarray,
-    x1: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw from the pinned-bridge marginal between x0 and x1 at coeffs.t."""
-    x0 = np.asarray(x0, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
-    if x0.shape != x1.shape:
-        raise ValueError(f"endpoint shape mismatch: {x0.shape} vs {x1.shape}")
-    mean = coeffs.w_x0 * x0 + coeffs.w_x1 * x1
-    std = np.sqrt(coeffs.var_marginal)
-    return mean + std * rng.standard_normal(x0.shape)
-
-
-def perturbation_weight(t: float, power: float = 2.0) -> float:
-    """Interpolation weight omega(t) = t^power, default t^2.
+def perturbation_weight(t, power: float = 2.0):
+    """Interpolation weight omega(t) = t^power, default t^2, for scalar or array t.
 
     Zero at t=0's clean end and one at t=1's measurement end; the default
     quadratic grows slowly for small t so targets stay near the clean data.
     """
-    return float(t) ** power
+    return np.asarray(t, dtype=float) ** power
 
 
-def perturbed_target(pair: TrainingPair, t: float, power: float = 2.0) -> np.ndarray:
-    """Training target interpolated from clean x toward x_star: (1-w) x + w x_star."""
-    w = perturbation_weight(t, power)
-    return (1.0 - w) * np.asarray(pair.x, dtype=float) + w * np.asarray(pair.x_star, dtype=float)
+def perturb(xs: np.ndarray, x_stars: np.ndarray, ts, power: float = 2.0) -> np.ndarray:
+    """Rows interpolated from clean xs toward x_stars: (1 - w) x + w x_star, w = omega(t)."""
+    w = perturbation_weight(ts, power)[..., None]
+    return (1.0 - w) * xs + w * x_stars
 
 
-def perturbed_state(
-    pair: TrainingPair,
-    t: float,
-    coeffs: BridgeCoefficients,
+def bridge_marginal(
+    schedule: NoiseSchedule,
+    x0: np.ndarray,
+    x1: np.ndarray,
+    ts: np.ndarray,
     rng: np.random.Generator,
-    power: float = 2.0,
-) -> BridgeState:
-    """Intermediate state built from the perturbed target.
+) -> np.ndarray:
+    """One draw per row from the pinned-bridge marginal between rows of x0 and x1.
 
-    The bridge marginal with x0 replaced by the interpolated target and
-    x1 = y; reduces to the plain marginal when x_star equals x.
+    x0 and x1 are (B, d) and ts holds the B times.
     """
-    target = perturbed_target(pair, t, power)
-    x_t = sample_marginal(coeffs, target, np.asarray(pair.y, dtype=float), rng)
-    return BridgeState(x_t=x_t, t=t)
+    x0 = np.asarray(x0, dtype=float)
+    x1 = np.asarray(x1, dtype=float)
+    if x0.shape != x1.shape:
+        raise ValueError(f"endpoint shape mismatch: {x0.shape} vs {x1.shape}")
+    w0, w1, var = schedule.coefficients(np.asarray(ts, dtype=float))
+    z = rng.standard_normal(x0.shape)
+    return w0[:, None] * x0 + w1[:, None] * x1 + np.sqrt(var)[:, None] * z

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .metrics import EvalReport, perception_distance, si_sdr
+from .metrics import EvalReport, moment_w2, mse, perception_distance, prediction_errors, si_sdr
 from .model import (
     ModelParameters,
     apply_mlp,
@@ -56,20 +56,6 @@ EXIT_CHECKPOINT = 4
 EVAL_PAIRS = 512
 EVAL_REFERENCE = 2048
 DATASET_DUMP_ROWS = 1000
-
-ALL_CONDITIONINGS = [
-    ConditioningStrategy.M1,
-    ConditioningStrategy.M2,
-    ConditioningStrategy.M3,
-    ConditioningStrategy.M4,
-    ConditioningStrategy.M5,
-]
-ALL_PERTURBATIONS = [
-    TrainingStrategy.VANILLA,
-    TrainingStrategy.INPUT_ONLY,
-    TrainingStrategy.JOINT,
-]
-
 
 class CheckpointMismatchError(RuntimeError):
     """Checkpoint does not match the configured task/model."""
@@ -179,20 +165,36 @@ def train_bridge_for_seed(
 # evaluation
 
 
+def _read_checkpoint(path: Path) -> dict:
+    """Load a checkpoint whose evaluated weights are all finite."""
+    try:
+        ckpt = load_checkpoint(path)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CheckpointMismatchError(f"unreadable checkpoint {path}: {exc}") from exc
+    if not all(np.all(np.isfinite(a)) for a in ckpt["params"].arrays()):
+        raise CheckpointMismatchError(f"checkpoint {path} has non-finite parameters")
+    return ckpt
+
+
 def _load_bridge(path: Path, cfg: ExperimentConfig) -> dict:
     if not Path(path).is_file():
         raise CheckpointMismatchError(f"checkpoint not found: {path}")
-    try:
-        ckpt = load_checkpoint(path)
-    except (ValueError, KeyError) as exc:
-        raise CheckpointMismatchError(f"unreadable checkpoint {path}: {exc}") from exc
+    ckpt = _read_checkpoint(path)
     expected = bridge_model_spec(_task_dim(cfg), cfg.model_hidden, cfg.time_embed_pairs)
     if ckpt["spec"] != expected:
         raise CheckpointMismatchError(
             f"checkpoint {path} was trained with {ckpt['spec']}, config expects {expected}"
         )
-    if ckpt["meta"].get("role") != "bridge":
+    meta = ckpt["meta"]
+    if meta.get("role") != "bridge":
         raise CheckpointMismatchError(f"checkpoint {path} is not a bridge model")
+    missing = [key for key in ("method", "conditioning") if key not in meta]
+    if missing:
+        raise CheckpointMismatchError(f"checkpoint {path} lacks meta keys {missing}")
+    try:
+        ConditioningStrategy(meta["conditioning"])
+    except ValueError as exc:
+        raise CheckpointMismatchError(f"checkpoint {path}: {exc}") from exc
     return ckpt
 
 
@@ -206,7 +208,7 @@ def _predictor_fn_for(ckpt: dict, ckpt_path: Path, cfg: ExperimentConfig):
         raise CheckpointMismatchError(
             f"{conditioning.value} needs the predictor checkpoint, missing: {pred_path}"
         )
-    pred = load_checkpoint(pred_path)
+    pred = _read_checkpoint(pred_path)
     if pred["spec"].output_dim != _task_dim(cfg):
         raise CheckpointMismatchError(f"predictor {pred_path} does not match the task dimension")
     return lambda ys: apply_mlp(pred["params"], ys)
@@ -219,6 +221,29 @@ def make_eval_set(cfg: ExperimentConfig, eval_seed: int) -> tuple[np.ndarray, np
     return xs, ys, reference
 
 
+def sample_bridge(
+    cfg: ExperimentConfig,
+    ckpt: dict,
+    ys: np.ndarray,
+    eval_seed: int,
+    n_steps: int | None = None,
+    predictor_fn=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(times, per-step predictions) of one reverse pass over the evaluation set.
+
+    The sampling noise stream is keyed by the step count only, so methods
+    compared at equal step counts see identical noise.
+    """
+    conditioning = ConditioningStrategy(ckpt["meta"]["conditioning"])
+    starts, conditions = inference_endpoints(conditioning, ys, predictor_fn)
+    sampler_cfg = cfg.sampler if n_steps is None else replace(cfg.sampler, n_steps=n_steps)
+    rng = named_stream(eval_seed, "sample", index=sampler_cfg.n_steps)
+    times, _, preds = sample_trajectory_batch(
+        make_bridge_predictor(ckpt["params"], ckpt["spec"]), starts, conditions, sampler_cfg, cfg.schedule, rng
+    )
+    return times, preds
+
+
 def evaluate_bridge(
     cfg: ExperimentConfig,
     ckpt: dict,
@@ -229,26 +254,16 @@ def evaluate_bridge(
     n_steps: int | None = None,
     predictor_fn=None,
 ) -> EvalReport:
-    """Evaluate one bridge checkpoint on the fixed evaluation set.
-
-    The sampling noise stream is keyed by the step count only, so methods
-    compared at equal step counts see identical noise.
-    """
-    conditioning = ConditioningStrategy(ckpt["meta"]["conditioning"])
-    starts, conditions = inference_endpoints(conditioning, ys, predictor_fn)
-    sampler_cfg = cfg.sampler if n_steps is None else replace(cfg.sampler, n_steps=n_steps)
-    rng = named_stream(eval_seed, "sample", index=sampler_cfg.n_steps)
-    _, _, preds = sample_trajectory_batch(
-        make_bridge_predictor(ckpt["params"], ckpt["spec"]), starts, conditions, sampler_cfg, cfg.schedule, rng
-    )
+    """Evaluate one bridge checkpoint on the fixed evaluation set."""
+    _, preds = sample_bridge(cfg, ckpt, ys, eval_seed, n_steps, predictor_fn)
     finals = preds[-1]
     w2, energy = perception_distance(finals, reference)
     return EvalReport(
-        mse=float(np.mean((finals - xs) ** 2)),
+        mse=mse(finals, xs),
         si_sdr_db=float(np.mean([si_sdr(f, x) for f, x in zip(finals, xs)])),
         w2=w2,
         energy_distance=energy,
-        per_step_error=[float(np.mean(np.sum((preds[i] - xs) ** 2, axis=1))) for i in range(len(preds))],
+        per_step_error=prediction_errors(preds, xs).tolist(),
     )
 
 
@@ -348,23 +363,16 @@ def cmd_exposure_bias(
     out = _resolve_out(cfg, out_override)
     eval_seed = seed_override if seed_override is not None else cfg.seeds[0]
     xs, ys, reference = make_eval_set(cfg, eval_seed)
-    times = cfg.sampler.times(cfg.schedule)
     rows = []
     for path in checkpoints:
         ckpt = _load_bridge(Path(path), cfg)
         predictor_fn = _predictor_fn_for(ckpt, Path(path), cfg)
-        conditioning = ConditioningStrategy(ckpt["meta"]["conditioning"])
-        starts, conditions = inference_endpoints(conditioning, ys, predictor_fn)
-        rng = named_stream(eval_seed, "sample", index=cfg.sampler.n_steps)
-        _, _, preds = sample_trajectory_batch(
-            make_bridge_predictor(ckpt["params"], ckpt["spec"]), starts, conditions, cfg.sampler, cfg.schedule, rng
-        )
+        times, preds = sample_bridge(cfg, ckpt, ys, eval_seed, predictor_fn=predictor_fn)
         method = ckpt["meta"]["method"]
-        for i in range(len(preds)):
-            pred_err = float(np.mean(np.sum((preds[i] - xs) ** 2, axis=1)))
-            step_mse = float(np.mean((preds[i] - xs) ** 2))
-            w2, _ = perception_distance(preds[i], reference)
-            rows.append([method, i + 1, float(times[i]), pred_err, step_mse, w2])
+        errors = prediction_errors(preds, xs)
+        for i, pred in enumerate(preds):
+            # W2 alone: the energy distance is not part of this table
+            rows.append([method, i + 1, float(times[i]), float(errors[i]), mse(pred, xs), moment_w2(pred, reference)])
         print(f"[exposure] {method}: final pred_err={rows[-1][3]:.5f}")
     out_path = out / "exposure_bias.csv"
     write_csv(out_path, "exposure.v1", ["method", "step", "t", "pred_err", "mse", "w2"], rows)
@@ -372,19 +380,23 @@ def cmd_exposure_bias(
     return out_path
 
 
-def _median_rows(rows: list[list], group_idx: int, seed_idx: int, value_start: int, group_order: list[str]) -> list[list]:
+def _median_rows(rows: list[list], labels: list[str]) -> list[list]:
     medians = []
-    for group in group_order:
-        values = np.array([r[value_start:] for r in rows if r[group_idx] == group], dtype=float)
-        medians.append([group, "median", *[float(np.median(values[:, j])) for j in range(values.shape[1])]])
+    for label in labels:
+        values = np.array([r[2:] for r in rows if r[0] == label], dtype=float)
+        medians.append([label, "median", *[float(np.median(values[:, j])) for j in range(values.shape[1])]])
     return medians
 
 
-def cmd_strategies(
+def _run_grid(
+    name: str,
+    units: list[tuple[str, TrainingStrategy, ConditioningStrategy]],
     config_path: str,
-    out_override: str | None = None,
-    seed_override: int | None = None,
+    out_override: str | None,
+    seed_override: int | None,
 ) -> Path:
+    """Per seed: train the predictor, then train and evaluate one bridge per
+    (label, strategy, conditioning) unit; write per-seed and median rows."""
     cfg = load_config(config_path)
     out = _resolve_out(cfg, out_override)
     seeds = _resolve_seeds(cfg, seed_override)
@@ -393,50 +405,28 @@ def cmd_strategies(
     rows = []
     for seed in seeds:
         seed_dir = out / f"seed_{seed}"
-        print(f"[strategies] seed {seed}: predictor")
+        print(f"[{name}] seed {seed}: predictor")
         predictor_params, _ = train_predictor_for_seed(cfg, seed, seed_dir)
-        for conditioning in ALL_CONDITIONINGS:
-            print(f"[strategies] seed {seed}: training {conditioning.value}")
-            path = train_bridge_for_seed(
-                cfg, seed, TrainingStrategy.VANILLA, conditioning, predictor_params, seed_dir,
-                label=conditioning.value,
-            )
+        for label, strategy, conditioning in units:
+            print(f"[{name}] seed {seed}: training {label}")
+            path = train_bridge_for_seed(cfg, seed, strategy, conditioning, predictor_params, seed_dir, label)
             method, report = evaluate_checkpoint_file(cfg, path, xs, ys, reference, eval_seed)
             rows.append([method, seed, report.mse, report.si_sdr_db, report.w2, report.energy_distance])
-    rows.extend(_median_rows(rows, 0, 1, 2, [c.value for c in ALL_CONDITIONINGS]))
-    out_path = out / "strategies.csv"
-    write_csv(out_path, "strategies.v1", ["strategy", "seed", "mse", "si_sdr_db", "w2", "energy_distance"], rows)
-    print(f"[strategies] wrote {out_path}")
+    rows.extend(_median_rows(rows, [label for label, _, _ in units]))
+    out_path = out / f"{name}.csv"
+    write_csv(out_path, f"{name}.v1", ["strategy", "seed", "mse", "si_sdr_db", "w2", "energy_distance"], rows)
+    print(f"[{name}] wrote {out_path}")
     return out_path
 
 
-def cmd_ablation(
-    config_path: str,
-    out_override: str | None = None,
-    seed_override: int | None = None,
-) -> Path:
-    cfg = load_config(config_path)
-    out = _resolve_out(cfg, out_override)
-    seeds = _resolve_seeds(cfg, seed_override)
-    eval_seed = seeds[0]
-    xs, ys, reference = make_eval_set(cfg, eval_seed)
-    rows = []
-    for seed in seeds:
-        seed_dir = out / f"seed_{seed}"
-        print(f"[ablation] seed {seed}: predictor")
-        predictor_params, _ = train_predictor_for_seed(cfg, seed, seed_dir)
-        for strategy in ALL_PERTURBATIONS:
-            print(f"[ablation] seed {seed}: training {strategy.value}")
-            path = train_bridge_for_seed(
-                cfg, seed, strategy, ConditioningStrategy.M1, predictor_params, seed_dir
-            )
-            method, report = evaluate_checkpoint_file(cfg, path, xs, ys, reference, eval_seed)
-            rows.append([method, seed, report.mse, report.si_sdr_db, report.w2, report.energy_distance])
-    rows.extend(_median_rows(rows, 0, 1, 2, [s.value for s in ALL_PERTURBATIONS]))
-    out_path = out / "ablation.csv"
-    write_csv(out_path, "ablation.v1", ["strategy", "seed", "mse", "si_sdr_db", "w2", "energy_distance"], rows)
-    print(f"[ablation] wrote {out_path}")
-    return out_path
+def cmd_strategies(config_path: str, out_override: str | None = None, seed_override: int | None = None) -> Path:
+    units = [(c.value, TrainingStrategy.VANILLA, c) for c in ConditioningStrategy]
+    return _run_grid("strategies", units, config_path, out_override, seed_override)
+
+
+def cmd_ablation(config_path: str, out_override: str | None = None, seed_override: int | None = None) -> Path:
+    units = [(s.value, s, ConditioningStrategy.M1) for s in TrainingStrategy]
+    return _run_grid("ablation", units, config_path, out_override, seed_override)
 
 
 def cmd_dump_dataset(

@@ -39,6 +39,13 @@ def _require_keys(block: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _integer(value, name: str) -> int:
+    """A count from the document; JSON booleans and non-integral numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_task(block: dict) -> Task:
     kind = block.get("kind")
     if kind == "mixture":
@@ -48,12 +55,12 @@ def _parse_task(block: dict) -> Task:
             weights=tuple(block.get("weights", (0.5, 0.5))),
             s2=block.get("s2", 0.01),
             noise_var=block.get("noise_var", 0.25),
-            dim=block.get("dim", 1),
+            dim=_integer(block.get("dim", 1), "task.dim"),
         )
     if kind == "linear_gaussian":
         _require_keys(block, {"kind", "dim", "prior_var", "noise_var"}, "task")
         return LinearGaussianTask.identity(
-            dim=block.get("dim", 1),
+            dim=_integer(block.get("dim", 1), "task.dim"),
             prior_var=block.get("prior_var", 1.0),
             noise_var=block.get("noise_var", 1.0),
         )
@@ -87,13 +94,13 @@ def _parse_train(block: dict) -> TrainConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return TrainConfig(
-        epochs=block.get("epochs", 30),
-        steps_per_epoch=block.get("steps_per_epoch", 400),
-        batch_size=block.get("batch_size", 16),
+        epochs=_integer(block.get("epochs", 30), "train.epochs"),
+        steps_per_epoch=_integer(block.get("steps_per_epoch", 400), "train.steps_per_epoch"),
+        batch_size=_integer(block.get("batch_size", 16), "train.batch_size"),
         strategy=strategy,
         conditioning=conditioning,
-        patience=block.get("patience", 20),
-        validation_size=block.get("validation_size", 50),
+        patience=_integer(block.get("patience", 20), "train.patience"),
+        validation_size=_integer(block.get("validation_size", 50), "train.validation_size"),
     )
 
 
@@ -104,7 +111,7 @@ def _parse_sampler(block: dict) -> SamplerConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return SamplerConfig(
-        n_steps=block.get("n_steps", 50),
+        n_steps=_integer(block.get("n_steps", 50), "sampler.n_steps"),
         kind=kind,
         t_min=block.get("t_min"),
         grid=block.get("grid", "uniform"),
@@ -127,19 +134,28 @@ def load_config(path: str | Path) -> ExperimentConfig:
     for block in ("task", "out_dir", "seeds"):
         if block not in doc:
             raise ConfigError(f"config is missing required key {block!r}")
+    for block in ("task", "schedule", "model", "train", "sampler"):
+        if not isinstance(doc.get(block, {}), dict):
+            raise ConfigError(f"{block} must be a JSON object")
 
     model_block = doc.get("model", {})
     _require_keys(model_block, {"hidden", "time_embed_pairs"}, "model")
     seeds = doc["seeds"]
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
-        raise ConfigError("seeds must be a nonempty list of integers")
+    hidden = model_block.get("hidden", list(DEFAULT_HIDDEN))
+    for name, values in (("seeds", seeds), ("model.hidden", hidden)):
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"{name} must be a nonempty list of integers")
+        for value in values:
+            _integer(value, f"each entry of {name}")
 
     try:
         return ExperimentConfig(
             task=_parse_task(doc["task"]),
             schedule=_parse_schedule(doc.get("schedule", {})),
-            model_hidden=tuple(model_block.get("hidden", DEFAULT_HIDDEN)),
-            time_embed_pairs=model_block.get("time_embed_pairs", DEFAULT_TIME_EMBED_PAIRS),
+            model_hidden=tuple(hidden),
+            time_embed_pairs=_integer(
+                model_block.get("time_embed_pairs", DEFAULT_TIME_EMBED_PAIRS), "model.time_embed_pairs"
+            ),
             train=_parse_train(doc.get("train", {})),
             sampler=_parse_sampler(doc.get("sampler", {})),
             out_dir=doc["out_dir"],

@@ -1,4 +1,4 @@
-"""Distortion and perception measurements plus per-step error diagnostics.
+"""Distortion and perception measurements.
 
 Distortion: MSE and SI-SDR against the clean reference.  Perception:
 distances between the set of produced samples and a set of clean prior
@@ -13,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import sqrtm
 
 SI_SDR_CEILING_DB = 60.0
-COV_REGULARIZER = 1e-9
 
 
 @dataclass
@@ -28,7 +26,6 @@ class EvalReport:
     w2: float
     energy_distance: float
     per_step_error: list[float] = field(default_factory=list)
-    cov_regularized: bool = False
 
 
 def si_sdr(estimate: np.ndarray, reference: np.ndarray, ceiling_db: float = SI_SDR_CEILING_DB) -> float:
@@ -58,35 +55,21 @@ def si_sdr(estimate: np.ndarray, reference: np.ndarray, ceiling_db: float = SI_S
     return min(10.0 * np.log10(s_energy / e_energy), ceiling_db)
 
 
-def gaussian_w2(
-    mu0: np.ndarray, cov0: np.ndarray, mu1: np.ndarray, cov1: np.ndarray
-) -> tuple[float, bool]:
+def gaussian_w2(mu0: np.ndarray, cov0: np.ndarray, mu1: np.ndarray, cov1: np.ndarray) -> float:
     """Closed-form 2-Wasserstein distance between two Gaussians.
 
-    W2^2 = ||mu0 - mu1||^2 + tr(C0 + C1 - 2 (C1^1/2 C0 C1^1/2)^1/2).
-    Returns (distance, regularized) where the flag marks near-singular
-    covariances that were bumped by a tiny diagonal.
+    W2^2 = ||mu0 - mu1||^2 + tr(C0 + C1) - 2 tr((C1^1/2 C0 C1^1/2)^1/2).
+    Both square roots are taken on the eigenvalues of a symmetric matrix,
+    clipped at zero, so singular covariances are handled exactly.
     """
     cov0 = np.atleast_2d(np.asarray(cov0, dtype=float))
     cov1 = np.atleast_2d(np.asarray(cov1, dtype=float))
-    d = cov0.shape[0]
-    regularized = False
-    if min(np.linalg.eigvalsh(cov0).min(), np.linalg.eigvalsh(cov1).min()) < 1e-12:
-        cov0 = cov0 + COV_REGULARIZER * np.eye(d)
-        cov1 = cov1 + COV_REGULARIZER * np.eye(d)
-        regularized = True
-    root1 = _psd_sqrt(cov1)
-    cross = _psd_sqrt(root1 @ cov0 @ root1)
+    w1, v1 = np.linalg.eigh(cov1)
+    root1 = (v1 * np.sqrt(np.maximum(w1, 0.0))) @ v1.T
+    cross = np.sqrt(np.maximum(np.linalg.eigvalsh(root1 @ cov0 @ root1), 0.0))
     delta = np.asarray(mu0, dtype=float) - np.asarray(mu1, dtype=float)
-    w2_sq = float(delta @ delta) + float(np.trace(cov0 + cov1 - 2.0 * cross))
-    return float(np.sqrt(max(w2_sq, 0.0))), regularized
-
-
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    root = sqrtm(mat)
-    if np.iscomplexobj(root):
-        root = root.real
-    return root
+    w2_sq = float(delta @ delta) + float(np.trace(cov0 + cov1) - 2.0 * np.sum(cross))
+    return float(np.sqrt(max(w2_sq, 0.0)))
 
 
 def _mean_pairwise_distance(a: np.ndarray, b: np.ndarray, block: int = 512) -> float:
@@ -128,24 +111,20 @@ def energy_distance(outputs: np.ndarray, reference: np.ndarray) -> float:
     )
 
 
-def perception_distance(outputs: np.ndarray, reference: np.ndarray) -> tuple[float, float]:
-    """(Gaussian-moment W2, energy distance) between two sample sets."""
+def moment_w2(outputs: np.ndarray, reference: np.ndarray) -> float:
+    """W2 between the Gaussians moment-matched to two sample sets."""
     a = np.atleast_2d(np.asarray(outputs, dtype=float))
     b = np.atleast_2d(np.asarray(reference, dtype=float))
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise ValueError("sample sets must be nonempty")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    w2, _ = gaussian_w2(a.mean(axis=0), np.cov(a, rowvar=False, ddof=0), b.mean(axis=0), np.cov(b, rowvar=False, ddof=0))
-    return w2, energy_distance(a, b)
+    return gaussian_w2(a.mean(axis=0), np.cov(a, rowvar=False, ddof=0), b.mean(axis=0), np.cov(b, rowvar=False, ddof=0))
 
 
-def per_step_errors(trajectory, x_true: np.ndarray) -> list[float]:
-    """Squared L2 error of every recorded prediction against the clean vector."""
-    x_true = np.asarray(x_true, dtype=float)
-    if not trajectory.predictions:
-        raise ValueError("trajectory has no recorded predictions")
-    return [float(np.sum((np.asarray(p) - x_true) ** 2)) for p in trajectory.predictions]
+def perception_distance(outputs: np.ndarray, reference: np.ndarray) -> tuple[float, float]:
+    """(Gaussian-moment W2, energy distance) between two sample sets."""
+    return moment_w2(outputs, reference), energy_distance(outputs, reference)
 
 
 def mse(estimate: np.ndarray, reference: np.ndarray) -> float:
@@ -153,3 +132,12 @@ def mse(estimate: np.ndarray, reference: np.ndarray) -> float:
     estimate = np.asarray(estimate, dtype=float)
     reference = np.asarray(reference, dtype=float)
     return float(np.mean((estimate - reference) ** 2))
+
+
+def prediction_errors(predictions: np.ndarray, x_true: np.ndarray) -> np.ndarray:
+    """Per-step squared L2 error, averaged over the batch.
+
+    predictions is (n_steps, B, d) as recorded by the sampler and x_true the
+    (B, d) clean rows; returns one value per step.
+    """
+    return np.mean(np.sum((np.asarray(predictions, dtype=float) - x_true) ** 2, axis=-1), axis=-1)

@@ -355,7 +355,7 @@ def save_checkpoint(
 def load_checkpoint(path: str | Path) -> dict:
     """Read a checkpoint back; inverse of save_checkpoint, bit-exact."""
     doc = json.loads(Path(path).read_text())
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a recognised checkpoint: {path}")
     out = {
         "spec": _spec_from_dict(doc["spec"]),

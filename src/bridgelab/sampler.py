@@ -1,8 +1,9 @@
 """First-order reverse samplers for the variance-exploding bridge.
 
-Both samplers walk a descending uniform time grid from 1 to t_min, call a
-data predictor at each step, and define the solution as the prediction made
-at the last step (the remaining noise scale at t_min is negligible).
+Both samplers walk a batch of states down a descending uniform time grid
+from 1 to t_min, call a data predictor at each step, and define the solution
+as the prediction made at the last step (the remaining noise scale at t_min
+is negligible).
 
 The SDE step is
 
@@ -23,13 +24,12 @@ vanishes) the step degenerates to the marginal-mean limit form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
-from .bridge import BridgeState
 from .schedule import NoiseSchedule
 
 
@@ -59,15 +59,6 @@ class SamplerConfig:
         """Descending grid from 1 to the effective t_min, n_steps + 1 points."""
         t_min = self.t_min if self.t_min is not None else schedule.t_eps
         return np.linspace(1.0, t_min, self.n_steps + 1)
-
-
-@dataclass
-class Trajectory:
-    """States visited and predictions made along one reverse pass."""
-
-    states: list[BridgeState] = field(default_factory=list)
-    predictions: list[np.ndarray] = field(default_factory=list)
-    final: np.ndarray | None = None
 
 
 # Predictor signature: (state, t, condition) -> clean-data estimate.
@@ -168,30 +159,3 @@ def sample_trajectory_batch(
         states[i + 1] = x
     return times, states, preds
 
-
-def sample_trajectory(
-    predictor: Predictor,
-    y: np.ndarray,
-    condition: np.ndarray,
-    config: SamplerConfig,
-    schedule: NoiseSchedule,
-    init: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
-) -> Trajectory:
-    """Reverse pass for a single measurement vector.
-
-    Starts at init if given (else y), records every prediction, and defines
-    the final solution as the last prediction.
-    """
-    y = np.asarray(y, dtype=float)
-    start = y if init is None else np.asarray(init, dtype=float)
-    if start.shape != y.shape:
-        raise ValueError(f"init shape {start.shape} does not match y shape {y.shape}")
-    times, states, preds = sample_trajectory_batch(
-        predictor, start[None, :], np.asarray(condition, dtype=float)[None, :], config, schedule, rng
-    )
-    traj = Trajectory()
-    traj.states = [BridgeState(x_t=states[i, 0], t=float(times[i])) for i in range(len(times))]
-    traj.predictions = [preds[i, 0] for i in range(config.n_steps)]
-    traj.final = preds[-1, 0]
-    return traj

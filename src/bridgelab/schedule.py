@@ -6,9 +6,8 @@ accumulated variance has the closed form
     sigma2(t) = c * (k^(2t) - 1) / (2 * ln k),
 
 where the natural logarithm is the only base for which
-d(sigma2)/dt = g^2(t).  With zero drift, alpha_t = bar_alpha_t = 1, and the
-pinned Gaussian marginal between endpoints x0 (clean) and x1 (measurement)
-has mean weights
+d(sigma2)/dt = g^2(t).  With zero drift the pinned Gaussian marginal between
+endpoints x0 (clean) and x1 (measurement) has mean weights
 
     w_x0 = bar_sigma2_t / sigma2_1,     w_x1 = sigma2_t / sigma2_1,
 
@@ -19,12 +18,19 @@ with bar_sigma2_t = sigma2_1 - sigma2_t, and variance
 The variance uses squared quantities throughout; this is the only convention
 consistent with the one-step SDE sampler (see tests for the composition
 check that discriminates it).
+
+Every function takes a scalar time or an array of times.  A Python float
+goes through scalar arithmetic and an array through numpy's elementwise
+power; the two can differ in the last bit, so the sampler keeps passing one
+scalar time per step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -48,7 +54,7 @@ class NoiseSchedule:
         if not 0 < self.t_eps < 1:
             raise ValueError(f"t_eps must lie in (0, 1), got {self.t_eps}")
 
-    def sigma2(self, t: float) -> float:
+    def sigma2(self, t):
         """Accumulated variance sigma2(t) = c (k^(2t) - 1) / (2 ln k).
 
         Strictly increasing on [0, 1] with sigma2(0) = 0.
@@ -61,40 +67,15 @@ class NoiseSchedule:
         """Total variance at the measurement end, sigma2(1)."""
         return self.c * (self.k**2 - 1.0) / (2.0 * math.log(self.k))
 
-    def coefficients(self, t: float) -> "BridgeCoefficients":
-        """All marginal coefficients of the pinned bridge at time t."""
-        _check_time(t)
+    def coefficients(self, t):
+        """(w_x0, w_x1, var_marginal) of the pinned bridge at time(s) t."""
         s2_t = self.sigma2(t)
         s2_1 = self.sigma2_1
         bar_s2_t = s2_1 - s2_t
-        return BridgeCoefficients(
-            t=t,
-            alpha_t=1.0,
-            bar_alpha_t=1.0,
-            sigma2_t=s2_t,
-            bar_sigma2_t=bar_s2_t,
-            sigma2_1=s2_1,
-            w_x0=bar_s2_t / s2_1,
-            w_x1=s2_t / s2_1,
-            var_marginal=s2_t * bar_s2_t / s2_1,
-        )
+        return bar_s2_t / s2_1, s2_t / s2_1, s2_t * bar_s2_t / s2_1
 
 
-@dataclass(frozen=True)
-class BridgeCoefficients:
-    """Marginal mean weights and variance of the pinned bridge at one time."""
-
-    t: float
-    alpha_t: float
-    bar_alpha_t: float
-    sigma2_t: float
-    bar_sigma2_t: float
-    sigma2_1: float
-    w_x0: float
-    w_x1: float
-    var_marginal: float
-
-
-def _check_time(t: float) -> None:
-    if not 0.0 <= t <= 1.0:
+def _check_time(t) -> None:
+    t_arr = np.asarray(t)
+    if not np.all((t_arr >= 0.0) & (t_arr <= 1.0)):
         raise ValueError(f"time must lie in [0, 1], got {t}")

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bridge import TrainingPair
-
 
 @dataclass(frozen=True)
 class LinearGaussianTask:
@@ -79,12 +77,6 @@ class LinearGaussianTask:
         chol = np.linalg.cholesky(self.Sigma0)
         return self.mu0 + rng.standard_normal((n, self.dim)) @ chol.T
 
-    def sample_pair(self, rng: np.random.Generator) -> TrainingPair:
-        x = self.clean_sampler(1, rng)[0]
-        chol_n = np.linalg.cholesky(self.Sigma_n)
-        y = self.A @ x + chol_n @ rng.standard_normal(self.measurement_dim)
-        return TrainingPair(x=x, y=y, x_star=self.posterior_mean(y))
-
     def sample_pairs(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorised batch of pairs: (xs, ys, x_stars), each (n, d)."""
         xs = self.clean_sampler(n, rng)
@@ -137,11 +129,6 @@ class MixtureTask:
         c = np.asarray(self.centers)
         comp = rng.choice(len(c), size=(n, self.dim), p=np.asarray(self.weights))
         return c[comp] + np.sqrt(self.s2) * rng.standard_normal((n, self.dim))
-
-    def sample_pair(self, rng: np.random.Generator) -> TrainingPair:
-        x = self.clean_sampler(1, rng)[0]
-        y = x + np.sqrt(self.noise_var) * rng.standard_normal(self.dim)
-        return TrainingPair(x=x, y=y, x_star=self.posterior_mean(y))
 
     def sample_pairs(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         xs = self.clean_sampler(n, rng)

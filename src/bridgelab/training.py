@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .bridge import TrainingPair
+from .bridge import bridge_marginal, perturb
 from .metrics import perception_distance
 from .model import (
     EmaState,
@@ -113,16 +113,7 @@ class TrainConfig:
         return TrainingStrategy.JOINT if self.conditioning.regularized else self.strategy
 
 
-def vector_coefficients(schedule: NoiseSchedule, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(w_x0, w_x1, var_marginal) for an array of times at once."""
-    ts = np.asarray(ts, dtype=float)
-    s2_1 = schedule.sigma2_1
-    s2_t = schedule.c * (schedule.k ** (2.0 * ts) - 1.0) / (2.0 * np.log(schedule.k))
-    bar = s2_1 - s2_t
-    return bar / s2_1, s2_t / s2_1, s2_t * bar / s2_1
-
-
-def _batch_loss_and_grads(
+def batch_loss_and_grads(
     params: ModelParameters,
     spec: MlpSpec,
     xs: np.ndarray,
@@ -136,42 +127,19 @@ def _batch_loss_and_grads(
 ) -> tuple[float, ModelParameters]:
     """One batch of the bridge objective under the given perturbation mode.
 
-    All three modes draw the marginal noise identically, so with
-    x_stars == xs they produce bitwise-equal losses under a shared stream.
+    Row i pairs clean xs[i] with the bridge endpoint, network condition and
+    posterior-mean estimate of the same row at time ts[i].  All three modes
+    draw the marginal noise identically, so with x_stars == xs they produce
+    bitwise-equal losses under a shared stream.
     """
-    w0, w1, var = vector_coefficients(schedule, ts)
     if strategy is TrainingStrategy.VANILLA:
-        x0_state = xs
-        targets = xs
+        x0_state = targets = xs
     else:
-        omega = (ts**2)[:, None]
-        perturbed = (1.0 - omega) * xs + omega * x_stars
-        x0_state = perturbed
-        targets = xs if strategy is TrainingStrategy.INPUT_ONLY else perturbed
-    z = rng.standard_normal(xs.shape)
-    states = w0[:, None] * x0_state + w1[:, None] * endpoints + np.sqrt(var)[:, None] * z
+        x0_state = perturb(xs, x_stars, ts)
+        targets = xs if strategy is TrainingStrategy.INPUT_ONLY else x0_state
+    states = bridge_marginal(schedule, x0_state, endpoints, ts, rng)
     inputs = assemble_inputs(spec, states, ts, conditions)
     return loss_and_gradients(params, inputs, targets)
-
-
-def training_step(
-    params: ModelParameters,
-    spec: MlpSpec,
-    pair: TrainingPair,
-    t: float,
-    strategy: TrainingStrategy,
-    schedule: NoiseSchedule,
-    rng: np.random.Generator,
-) -> tuple[float, ModelParameters]:
-    """Loss and gradients for a single pair at one time (endpoint/condition y)."""
-    if not schedule.t_eps <= t <= 1.0:
-        raise ValueError(f"t must lie in [t_eps, 1], got {t}")
-    x = np.asarray(pair.x, dtype=float)[None, :]
-    y = np.asarray(pair.y, dtype=float)[None, :]
-    x_star = np.asarray(pair.x_star, dtype=float)[None, :]
-    return _batch_loss_and_grads(
-        params, spec, x, y, y, x_star, np.array([t]), strategy, schedule, rng
-    )
 
 
 def train_predictor(
@@ -277,7 +245,7 @@ def train(
             conditions = x_stars if conditioning.condition == "x_star" else ys
             ts = rng.uniform(schedule.t_eps, 1.0, size=config.batch_size)
             try:
-                loss, grads = _batch_loss_and_grads(
+                loss, grads = batch_loss_and_grads(
                     params, spec, xs, endpoints, conditions, x_stars, ts, strategy, schedule, rng
                 )
             except FloatingPointError as exc:

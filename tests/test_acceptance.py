@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from bridgelab import cli
-from bridgelab.bridge import TrainingPair
 from bridgelab.config import load_config
 from bridgelab.metrics import perception_distance, si_sdr
 from bridgelab.model import (
@@ -27,7 +26,7 @@ from bridgelab.model import (
     loss_and_gradients,
     predictor_spec,
 )
-from bridgelab.sampler import SamplerConfig, SamplerKind, ode_step, sample_trajectory, sample_trajectory_batch, sde_step
+from bridgelab.sampler import SamplerConfig, ode_step, sample_trajectory_batch, sde_step
 from bridgelab.schedule import NoiseSchedule
 from bridgelab.seeding import named_stream
 from bridgelab.tasks import LinearGaussianTask, MixtureTask
@@ -35,10 +34,10 @@ from bridgelab.training import (
     ConditioningStrategy,
     TrainConfig,
     TrainingStrategy,
+    batch_loss_and_grads,
     make_bridge_predictor,
     train,
     train_predictor,
-    training_step,
 )
 
 SCH = NoiseSchedule()
@@ -89,17 +88,13 @@ class TestCriterion02MarginalSamplerConsistency:
             for t in (0.5, 0.25, 0.1):
                 if not t < tau:
                     continue
-                co_tau = SCH.coefficients(tau)
-                at_tau = (
-                    co_tau.w_x0 * x0
-                    + co_tau.w_x1 * y
-                    + np.sqrt(co_tau.var_marginal) * rng.standard_normal(n)
-                )
+                w0_tau, w1_tau, var_tau = SCH.coefficients(tau)
+                at_tau = w0_tau * x0 + w1_tau * y + np.sqrt(var_tau) * rng.standard_normal(n)
                 out = sde_step(at_tau, tau, t, np.full(n, x0), SCH, rng)
-                co_t = SCH.coefficients(t)
-                mean_tol = 4 * np.sqrt(co_t.var_marginal / n)
-                assert abs(out.mean() - (co_t.w_x0 * x0 + co_t.w_x1 * y)) < mean_tol
-                assert abs(out.var() / co_t.var_marginal - 1.0) < 0.02
+                w0_t, w1_t, var_t = SCH.coefficients(t)
+                mean_tol = 4 * np.sqrt(var_t / n)
+                assert abs(out.mean() - (w0_t * x0 + w1_t * y)) < mean_tol
+                assert abs(out.var() / var_t - 1.0) < 0.02
                 checked += 1
         assert checked == 8
         report(2, f"sde_step preserves the bridge marginal over {checked} (tau, t) pairs at N={n}")
@@ -108,12 +103,12 @@ class TestCriterion02MarginalSamplerConsistency:
 class TestCriterion03OracleTrajectories:
     def test_sde_oracle_recovery(self):
         x0 = np.array([0.6])
-        y = np.array([-1.0])
+        y = np.array([[-1.0]])
         predictor = lambda s, t, c: np.broadcast_to(x0, s.shape)
-        traj = sample_trajectory(
+        _, _, preds = sample_trajectory_batch(
             predictor, y, y, SamplerConfig(n_steps=50), SCH, rng=np.random.default_rng(3)
         )
-        err = float(np.mean((traj.final - x0) ** 2))
+        err = float(np.mean((preds[-1] - x0) ** 2))
         assert err < 1e-4
 
         # ODE mean-consistency as an algebraic identity
@@ -121,10 +116,10 @@ class TestCriterion03OracleTrajectories:
         x1v = np.array([1.0, 0.4])
         worst = 0.0
         for tau, t in [(1.0, 0.7), (0.9, 0.5), (0.7, 0.3), (0.5, 0.01), (0.3, 0.0001)]:
-            co_tau = SCH.coefficients(tau)
-            co_t = SCH.coefficients(t)
-            mean_tau = co_tau.w_x0 * x0v + co_tau.w_x1 * x1v
-            mean_t = co_t.w_x0 * x0v + co_t.w_x1 * x1v
+            w0_tau, w1_tau, _ = SCH.coefficients(tau)
+            w0_t, w1_t, _ = SCH.coefficients(t)
+            mean_tau = w0_tau * x0v + w1_tau * x1v
+            mean_t = w0_t * x0v + w1_t * x1v
             out = ode_step(mean_tau, tau, t, x0v, x1v, SCH)
             worst = max(worst, float(np.max(np.abs(out - mean_t))))
         assert worst < 1e-10
@@ -187,7 +182,7 @@ class TestCriterion05PosteriorOracles:
             A=rng.standard_normal((4, 4)),
             Sigma_n=0.3 * np.eye(4),
         )
-        y0 = task_lg.sample_pair(rng).y
+        y0 = task_lg.sample_pairs(1, rng)[1][0]
         analytic = task_lg.posterior_mean(y0)
         n = 1_000_000
         xs4 = task_lg.clean_sampler(n, rng)
@@ -209,15 +204,16 @@ class TestCriterion06StrategyCollapse:
     def test_exact_loss_agreement_with_zero_simulated_error(self):
         spec = bridge_model_spec(2, hidden=(16, 16))
         params = init_params(spec, np.random.default_rng(6))
-        pair = TrainingPair(
-            x=np.array([0.4, -0.6]), y=np.array([1.2, 0.1]), x_star=np.array([0.4, -0.6])
-        )
+        x = np.array([[0.4, -0.6]])
+        y = np.array([[1.2, 0.1]])
         losses = {}
         grads = {}
         for strategy in TrainingStrategy:
             for t in (0.2, 0.5, 0.9):
-                loss, g = training_step(
-                    params, spec, pair, t, strategy, SCH, np.random.default_rng(1000 + int(t * 10))
+                # x_star = x: no simulated prediction error
+                loss, g = batch_loss_and_grads(
+                    params, spec, x, y, y, x.copy(), np.array([t]), strategy, SCH,
+                    np.random.default_rng(1000 + int(t * 10)),
                 )
                 losses.setdefault(t, []).append(loss)
                 grads.setdefault(t, []).append(g)

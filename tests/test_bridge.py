@@ -1,55 +1,51 @@
-"""Bridge marginals and the interpolation perturbation."""
+"""Bridge marginals and the interpolation perturbation, on batches of rows."""
 
 import numpy as np
 import pytest
 
-from bridgelab.bridge import (
-    TrainingPair,
-    perturbation_weight,
-    perturbed_state,
-    perturbed_target,
-    sample_marginal,
-)
+from bridgelab.bridge import bridge_marginal, perturb, perturbation_weight
 from bridgelab.schedule import NoiseSchedule
 
 SCH = NoiseSchedule()
 
 
-def make_pair(x, y, x_star):
-    return TrainingPair(
-        x=np.atleast_1d(np.asarray(x, dtype=float)),
-        y=np.atleast_1d(np.asarray(y, dtype=float)),
-        x_star=np.atleast_1d(np.asarray(x_star, dtype=float)),
-    )
+def row(values):
+    """One batch row (1, d) from a scalar or a vector."""
+    return np.atleast_1d(np.asarray(values, dtype=float))[None, :]
+
+
+def times(t, n=1):
+    return np.full(n, float(t))
 
 
 class TestSampleMarginal:
     def test_collapses_to_x1_at_t1(self):
         rng = np.random.default_rng(0)
-        x0, x1 = np.array([3.0, -2.0]), np.array([0.5, 0.5])
-        out = sample_marginal(SCH.coefficients(1.0), x0, x1, rng)
+        x0, x1 = row([3.0, -2.0]), row([0.5, 0.5])
+        out = bridge_marginal(SCH, x0, x1, times(1.0), rng)
         np.testing.assert_array_equal(out, x1)
 
     def test_collapses_to_x0_at_t0(self):
         rng = np.random.default_rng(0)
-        x0, x1 = np.array([3.0, -2.0]), np.array([0.5, 0.5])
-        out = sample_marginal(SCH.coefficients(0.0), x0, x1, rng)
+        x0, x1 = row([3.0, -2.0]), row([0.5, 0.5])
+        out = bridge_marginal(SCH, x0, x1, times(0.0), rng)
         np.testing.assert_array_equal(out, x0)
 
     def test_midpoint_moments_match_coefficients(self):
         # Monte Carlo against the coefficients op: x0 = 0, x1 = 1 scalar,
-        # 1e5 draws through sample_marginal itself (elementwise over a batch)
+        # 1e5 rows drawn in one batch
         rng = np.random.default_rng(42)
-        co = SCH.coefficients(0.5)
         n = 100_000
-        draws = sample_marginal(co, np.zeros(n), np.ones(n), rng)
+        draws = bridge_marginal(SCH, np.zeros((n, 1)), np.ones((n, 1)), times(0.5, n), rng)
         assert draws.mean() == pytest.approx(0.27778, abs=0.005)
         assert draws.var() == pytest.approx(0.24187, rel=0.02)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_marginal(SCH.coefficients(0.5), np.zeros(2), np.zeros(3), rng)
+            bridge_marginal(SCH, np.zeros((1, 2)), np.zeros((1, 3)), times(0.5), rng)
+        with pytest.raises(ValueError):
+            bridge_marginal(SCH, np.zeros((1, 2)), np.zeros((2, 2)), times(0.5, 2), rng)
 
 
 class TestPerturbationWeight:
@@ -63,8 +59,7 @@ class TestPerturbationWeight:
         assert perturbation_weight(0.5) == 0.25
 
     def test_monotone_and_convex(self):
-        grid = np.linspace(0.0, 1.0, 101)
-        w = np.array([perturbation_weight(float(t)) for t in grid])
+        w = perturbation_weight(np.linspace(0.0, 1.0, 101))
         assert np.all(np.diff(w) >= 0)
         assert np.all(np.diff(w, 2) >= -1e-12)
 
@@ -73,78 +68,69 @@ class TestPerturbationWeight:
         assert perturbation_weight(0.25, power=0.5) == 0.5
 
     def test_power_passes_through_target_and_state(self):
-        pair = make_pair(0.0, 1.0, 2.0)
-        assert perturbed_target(pair, 0.5, power=1.0)[0] == pytest.approx(1.0)
-        co = SCH.coefficients(0.5)
-        s_pow = perturbed_state(pair, 0.5, co, np.random.default_rng(0), power=1.0)
-        s_sq = perturbed_state(pair, 0.5, co, np.random.default_rng(0))
-        assert s_pow.x_t[0] != s_sq.x_t[0]
+        x, y, x_star, ts = row(0.0), row(1.0), row(2.0), times(0.5)
+        assert perturb(x, x_star, ts, power=1.0)[0, 0] == pytest.approx(1.0)
+        s_pow = bridge_marginal(SCH, perturb(x, x_star, ts, power=1.0), y, ts, np.random.default_rng(0))
+        s_sq = bridge_marginal(SCH, perturb(x, x_star, ts), y, ts, np.random.default_rng(0))
+        assert s_pow[0, 0] != s_sq[0, 0]
 
 
 class TestPerturbedTarget:
     def test_clean_at_t0(self):
-        pair = make_pair(1.5, 0.0, -3.0)
-        np.testing.assert_array_equal(perturbed_target(pair, 0.0), pair.x)
+        x, x_star = row(1.5), row(-3.0)
+        np.testing.assert_array_equal(perturb(x, x_star, times(0.0)), x)
 
     def test_posterior_mean_at_t1(self):
-        pair = make_pair(1.5, 0.0, -3.0)
-        np.testing.assert_array_equal(perturbed_target(pair, 1.0), pair.x_star)
+        x, x_star = row(1.5), row(-3.0)
+        np.testing.assert_array_equal(perturb(x, x_star, times(1.0)), x_star)
 
     def test_hand_value_midpoint(self):
         # x = 0, x_star = 2, omega = 0.25 -> 0.5
-        pair = make_pair(0.0, 1.0, 2.0)
-        assert perturbed_target(pair, 0.5)[0] == pytest.approx(0.5)
+        assert perturb(row(0.0), row(2.0), times(0.5))[0, 0] == pytest.approx(0.5)
 
     def test_affine_in_t_squared(self):
-        pair = make_pair([1.0, -2.0], [0.0, 0.0], [0.5, 0.5])
-        for t in np.linspace(0.0, 1.0, 17):
-            expected = pair.x + t**2 * (pair.x_star - pair.x)
-            np.testing.assert_allclose(perturbed_target(pair, float(t)), expected, atol=1e-15)
+        ts = np.linspace(0.0, 1.0, 17)
+        x = np.tile([1.0, -2.0], (17, 1))
+        x_star = np.tile([0.5, 0.5], (17, 1))
+        expected = x + (ts**2)[:, None] * (x_star - x)
+        np.testing.assert_allclose(perturb(x, x_star, ts), expected, atol=1e-15)
 
     def test_convex_combination_bounded(self):
-        pair = make_pair([1.0, -2.0], [0.0, 0.0], [0.5, 3.0])
-        bound = max(np.max(np.abs(pair.x)), np.max(np.abs(pair.x_star)))
-        for t in np.linspace(0.0, 1.0, 21):
-            assert np.max(np.abs(perturbed_target(pair, float(t)))) <= bound + 1e-12
+        ts = np.linspace(0.0, 1.0, 21)
+        x = np.tile([1.0, -2.0], (21, 1))
+        x_star = np.tile([0.5, 3.0], (21, 1))
+        bound = max(np.max(np.abs(x)), np.max(np.abs(x_star)))
+        assert np.max(np.abs(perturb(x, x_star, ts))) <= bound + 1e-12
 
     def test_simulated_error_nondecreasing(self):
-        pair = make_pair([1.0, -2.0], [0.0, 0.0], [0.5, 0.5])
-        grid = np.linspace(0.0, 1.0, 50)
-        errs = [np.linalg.norm(perturbed_target(pair, float(t)) - pair.x) for t in grid]
+        ts = np.linspace(0.0, 1.0, 50)
+        x = np.tile([1.0, -2.0], (50, 1))
+        x_star = np.tile([0.5, 0.5], (50, 1))
+        errs = np.linalg.norm(perturb(x, x_star, ts) - x, axis=1)
         assert np.all(np.diff(errs) >= -1e-12)
 
 
 class TestPerturbedState:
     def test_equals_y_at_t1(self):
         rng = np.random.default_rng(0)
-        pair = make_pair([0.0, 1.0], [0.3, -0.7], [0.1, 0.1])
-        state = perturbed_state(pair, 1.0, SCH.coefficients(1.0), rng)
-        np.testing.assert_array_equal(state.x_t, pair.y)
-        assert state.t == 1.0
+        x, y, x_star = row([0.0, 1.0]), row([0.3, -0.7]), row([0.1, 0.1])
+        ts = times(1.0)
+        state = bridge_marginal(SCH, perturb(x, x_star, ts), y, ts, rng)
+        np.testing.assert_array_equal(state, y)
 
     def test_reduces_to_marginal_when_x_star_equals_x(self):
-        pair = make_pair([0.4, -1.2], [1.0, 1.0], [0.4, -1.2])
-        co = SCH.coefficients(0.6)
-        s1 = perturbed_state(pair, 0.6, co, np.random.default_rng(7))
-        s2 = sample_marginal(co, pair.x, pair.y, np.random.default_rng(7))
-        np.testing.assert_array_equal(s1.x_t, s2)
+        x, y = row([0.4, -1.2]), row([1.0, 1.0])
+        ts = times(0.6)
+        s1 = bridge_marginal(SCH, perturb(x, x, ts), y, ts, np.random.default_rng(7))
+        s2 = bridge_marginal(SCH, x, y, ts, np.random.default_rng(7))
+        np.testing.assert_array_equal(s1, s2)
 
     def test_midpoint_mean_monte_carlo(self):
         # x = 0, x_star = 2, y = 1, t = 0.5: mean = 0.72222*0.5 + 0.27778*1
-        pair = make_pair(0.0, 1.0, 2.0)
-        co = SCH.coefficients(0.5)
+        n = 5000
+        ts = times(0.5, n)
         rng = np.random.default_rng(3)
-        draws = np.array([perturbed_state(pair, 0.5, co, rng).x_t[0] for _ in range(5000)])
-        sem = draws.std() / np.sqrt(len(draws))
+        draws = bridge_marginal(SCH, perturb(np.zeros((n, 1)), np.full((n, 1), 2.0), ts), np.ones((n, 1)), ts, rng)
+        sem = draws.std() / np.sqrt(n)
         assert sem < 0.01
         assert draws.mean() == pytest.approx(0.63889, abs=0.005)
-
-
-class TestTrainingPairValidation:
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            TrainingPair(x=np.zeros(2), y=np.zeros(3), x_star=np.zeros(2))
-
-    def test_non_finite_posterior_mean(self):
-        with pytest.raises(ValueError):
-            TrainingPair(x=np.zeros(1), y=np.zeros(1), x_star=np.array([np.nan]))

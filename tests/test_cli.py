@@ -140,7 +140,63 @@ class TestSweepCommand:
         assert code == cli.EXIT_CONFIG
 
 
+class TestCheckpointValidation:
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("ckpt")
+        config = root / "config.json"
+        doc = json.loads(json.dumps(TINY))
+        doc["train"]["conditioning"] = "M2"  # evaluation loads the sibling predictor
+        config.write_text(json.dumps(doc))
+        cli.cmd_train(str(config), str(root / "run"))
+        return config, root / "run" / "seed_3"
+
+    def damaged_copy(self, trained, tmp_path, damage, name):
+        config, seed_dir = trained
+        run = tmp_path / "damaged"
+        run.mkdir()
+        for f in ("predictor.json", "model_M2.json"):
+            (run / f).write_bytes((seed_dir / f).read_bytes())
+        doc = json.loads((run / name).read_text())
+        damage(doc)
+        (run / name).write_text(json.dumps(doc))
+        return config, run / "model_M2.json"
+
+    @pytest.mark.parametrize("command", ["sweep-steps", "exposure-bias"])
+    @pytest.mark.parametrize(
+        "name,damage",
+        [
+            ("model_M2.json", lambda d: d["meta"].pop("conditioning")),
+            ("model_M2.json", lambda d: d["meta"].pop("method")),
+            ("model_M2.json", lambda d: d["meta"].update(conditioning="M9")),
+            ("model_M2.json", lambda d: d["params"][0]["data"].__setitem__(0, float("nan"))),
+            ("predictor.json", lambda d: d["params"][1]["data"].__setitem__(0, float("inf"))),
+        ],
+        ids=["no-conditioning", "no-method", "bad-conditioning", "nan-bridge", "inf-predictor"],
+    )
+    def test_bad_checkpoint_exit(self, trained, tmp_path, capsys, command, name, damage):
+        config, ckpt = self.damaged_copy(trained, tmp_path, damage, name)
+        code = cli.main([command, "--config", str(config), "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_CHECKPOINT
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error: ") and err.count("\n") == 1
+
+
 class TestExposureCommand:
+    def test_final_step_matches_evaluation(self, tiny_config, tmp_path):
+        # exposure-bias and evaluate_bridge sample through the same code and streams
+        out = tmp_path / "run"
+        cli.cmd_train(str(tiny_config), str(out))
+        ckpt = out / "seed_3" / "model_Joint.json"
+        csv_path = cli.cmd_exposure_bias(str(tiny_config), [str(ckpt)], str(out))
+        last = csv_path.read_text().splitlines()[-1].split(",")
+        cfg = load_config(tiny_config)
+        xs, ys, reference = cli.make_eval_set(cfg, 3)
+        _, report = cli.evaluate_checkpoint_file(cfg, ckpt, xs, ys, reference, 3)
+        assert float(last[4]) == report.per_step_error[-1]
+        assert float(last[5]) == report.mse
+        assert float(last[6]) == report.w2
+
     def test_long_format_rows(self, tiny_config, tmp_path):
         out = tmp_path / "run"
         cli.cmd_train(str(tiny_config), str(out))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bridgelab import cli
 from bridgelab.config import ConfigError, load_config
 from bridgelab.sampler import SamplerKind
 from bridgelab.tasks import LinearGaussianTask, MixtureTask
@@ -76,6 +77,42 @@ class TestLoadConfig:
         mutate(doc)
         with pytest.raises(ConfigError, match="unknown"):
             load_config(write_config(tmp_path, doc))
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d["train"].update({"epochs": 2.5}),
+            lambda d: d["train"].update({"epochs": True}),
+            lambda d: d["train"].update({"batch_size": 4.0}),
+            lambda d: d["train"].update({"patience": False}),
+            lambda d: d["sampler"].update({"n_steps": 5.5}),
+            lambda d: d["task"].update({"dim": True}),
+            lambda d: d["model"].update({"time_embed_pairs": 4.0}),
+            lambda d: d["model"].update({"hidden": [16, True]}),
+            lambda d: d["model"].update({"hidden": 16}),
+            lambda d: d.update({"seeds": [True]}),
+            lambda d: d.update({"seeds": [1, 2.5]}),
+            lambda d: d.update({"model": 5}),
+            lambda d: d.update({"train": []}),
+            lambda d: d.update({"task": [1]}),
+        ],
+        ids=[
+            "epochs-float", "epochs-bool", "batch-integral-float", "patience-bool", "n_steps-float",
+            "dim-bool", "embed-float", "hidden-bool", "hidden-scalar", "seed-bool", "seed-float",
+            "model-scalar", "train-list", "task-list",
+        ],
+    )
+    def test_counts_and_blocks_must_be_typed(self, tmp_path, capsys, mutate):
+        doc = json.loads(json.dumps(GOOD))
+        mutate(doc)
+        path = write_config(tmp_path, doc)
+        with pytest.raises(ConfigError):
+            load_config(path)
+        code = cli.main(["dump-dataset", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_bad_enumeration_values(self, tmp_path):
         doc = json.loads(json.dumps(GOOD))

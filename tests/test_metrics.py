@@ -1,17 +1,21 @@
 """Distortion and perception metrics against hand values and closed forms."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from bridgelab.metrics import (
     energy_distance,
     gaussian_w2,
+    moment_w2,
     mse,
-    per_step_errors,
     perception_distance,
+    prediction_errors,
     si_sdr,
 )
-from bridgelab.sampler import SamplerConfig, sample_trajectory
+from bridgelab.sampler import SamplerConfig, sample_trajectory_batch
 from bridgelab.schedule import NoiseSchedule
 from bridgelab.tasks import MixtureTask
 
@@ -50,24 +54,64 @@ class TestSiSdr:
         assert si_sdr(x, x, ceiling_db=80.0) == 80.0
 
 
+def rotation(d, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    return q
+
+
 class TestGaussianW2:
     def test_unit_gaussians_shifted_mean(self):
-        w2, flag = gaussian_w2(np.zeros(1), np.eye(1), np.ones(1), np.eye(1))
+        w2 = gaussian_w2(np.zeros(1), np.eye(1), np.ones(1), np.eye(1))
         assert w2 == pytest.approx(1.0, abs=1e-9)
-        assert not flag
 
     def test_same_distribution_zero(self):
         rng = np.random.default_rng(1)
         q = rng.standard_normal((3, 3))
         cov = q @ q.T + np.eye(3)
         mu = rng.standard_normal(3)
-        w2, _ = gaussian_w2(mu, cov, mu, cov)
-        assert w2 == pytest.approx(0.0, abs=1e-7)
+        assert gaussian_w2(mu, cov, mu, cov) == pytest.approx(0.0, abs=1e-7)
 
-    def test_degenerate_covariance_flagged(self):
-        w2, flag = gaussian_w2(np.zeros(2), np.zeros((2, 2)), np.ones(2), np.eye(2))
-        assert flag
-        assert np.isfinite(w2)
+    def test_degenerate_covariance_finite(self):
+        # a point mass against N(1, I): W2^2 = ||dmu||^2 + tr(I) = 4 exactly
+        w2 = gaussian_w2(np.zeros(2), np.zeros((2, 2)), np.ones(2), np.eye(2))
+        assert w2 == pytest.approx(2.0, abs=1e-12)
+        rank_one = np.outer([1.0, 2.0, 0.5], [1.0, 2.0, 0.5])
+        assert np.isfinite(gaussian_w2(np.zeros(3), rank_one, np.zeros(3), np.diag([1.0, 0.0, 2.0])))
+
+    def test_co_rotated_diagonal_closed_form(self):
+        # commuting covariances R D0 R^T and R D1 R^T:
+        # W2^2 = ||mu0 - mu1||^2 + sum (sqrt(a_i) - sqrt(b_i))^2
+        rng = np.random.default_rng(12)
+        r = rotation(4, 13)
+        a = np.array([0.3, 1.7, 2.5, 0.01])
+        b = np.array([1.1, 0.2, 4.0, 0.5])
+        mu0, mu1 = rng.standard_normal(4), rng.standard_normal(4)
+        expected = np.sqrt(np.sum((mu0 - mu1) ** 2) + np.sum((np.sqrt(a) - np.sqrt(b)) ** 2))
+        w2 = gaussian_w2(mu0, r @ np.diag(a) @ r.T, mu1, r @ np.diag(b) @ r.T)
+        assert w2 == pytest.approx(expected, abs=1e-12)
+
+    def test_symmetric_in_arguments(self):
+        rng = np.random.default_rng(14)
+        q0, q1 = rng.standard_normal((4, 4)), rng.standard_normal((4, 4))
+        c0, c1 = q0 @ q0.T + 0.1 * np.eye(4), q1 @ q1.T
+        mu0, mu1 = rng.standard_normal(4), rng.standard_normal(4)
+        assert gaussian_w2(mu0, c0, mu1, c1) == pytest.approx(gaussian_w2(mu1, c1, mu0, c0), abs=1e-12)
+
+    def test_moment_w2_uses_sample_moments(self):
+        rng = np.random.default_rng(15)
+        a = rng.standard_normal((300, 4))
+        b = 2.0 * rng.standard_normal((200, 4)) + 0.5
+        expected = gaussian_w2(
+            a.mean(axis=0), np.cov(a, rowvar=False, ddof=0), b.mean(axis=0), np.cov(b, rowvar=False, ddof=0)
+        )
+        assert moment_w2(a, b) == expected
+        assert perception_distance(a, b)[0] == expected
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, bridgelab, bridgelab.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestPerceptionDistance:
@@ -129,12 +173,14 @@ class TestPerceptionDistance:
         assert energy_mean > energy_post
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            perception_distance(np.zeros((5, 2)), np.zeros((5, 3)))
+        for fn in (perception_distance, moment_w2):
+            with pytest.raises(ValueError):
+                fn(np.zeros((5, 2)), np.zeros((5, 3)))
 
     def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            perception_distance(np.zeros((0, 2)), np.zeros((5, 2)))
+        for fn in (perception_distance, moment_w2):
+            with pytest.raises(ValueError):
+                fn(np.zeros((0, 2)), np.zeros((5, 2)))
 
 
 class TestEnergyDistance:
@@ -176,29 +222,30 @@ class TestPerStepErrors:
         sch = NoiseSchedule()
         x0 = np.array([0.4])
         predictor = lambda s, t, c: np.broadcast_to(x0, s.shape)
-        traj = sample_trajectory(
-            predictor, np.array([1.0]), np.array([1.0]), SamplerConfig(n_steps=10), sch,
-            rng=np.random.default_rng(0),
+        y = np.array([[1.0]])
+        _, _, preds = sample_trajectory_batch(
+            predictor, y, y, SamplerConfig(n_steps=10), sch, rng=np.random.default_rng(0)
         )
-        assert per_step_errors(traj, x0) == [0.0] * 10
+        assert prediction_errors(preds, x0[None, :]).tolist() == [0.0] * 10
 
     def test_constant_predictor_constant_error(self):
         sch = NoiseSchedule()
         x_star = np.array([0.5, -0.5])
         x_true = np.array([1.0, 1.0])
         predictor = lambda s, t, c: np.broadcast_to(x_star, s.shape)
-        traj = sample_trajectory(
-            predictor, np.zeros(2), np.zeros(2), SamplerConfig(n_steps=5), sch,
-            rng=np.random.default_rng(0),
+        y = np.zeros((1, 2))
+        _, _, preds = sample_trajectory_batch(
+            predictor, y, y, SamplerConfig(n_steps=5), sch, rng=np.random.default_rng(0)
         )
         expected = float(np.sum((x_star - x_true) ** 2))
-        assert per_step_errors(traj, x_true) == [pytest.approx(expected)] * 5
+        assert prediction_errors(preds, x_true[None, :]).tolist() == [pytest.approx(expected)] * 5
 
-    def test_requires_predictions(self):
-        from bridgelab.sampler import Trajectory
-
-        with pytest.raises(ValueError):
-            per_step_errors(Trajectory(), np.zeros(1))
+    def test_batch_mean_of_row_errors(self):
+        rng = np.random.default_rng(16)
+        preds = rng.standard_normal((3, 7, 2))
+        xs = rng.standard_normal((7, 2))
+        expected = [float(np.mean(np.sum((p - xs) ** 2, axis=1))) for p in preds]
+        assert prediction_errors(preds, xs).tolist() == expected
 
 
 class TestMse:

@@ -307,9 +307,10 @@ class TestCheckpoint:
 
     def test_rejects_foreign_document(self, tmp_path):
         path = tmp_path / "x.json"
-        path.write_text("{}")
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
+        for text in ("{}", "[]", "3"):
+            path.write_text(text)
+            with pytest.raises(ValueError):
+                load_checkpoint(path)
 
 
 class TestSpecValidation:

@@ -7,7 +7,6 @@ from bridgelab.sampler import (
     SamplerConfig,
     SamplerKind,
     ode_step,
-    sample_trajectory,
     sample_trajectory_batch,
     sde_step,
 )
@@ -17,8 +16,8 @@ SCH = NoiseSchedule()
 
 
 def marginal_mean(t, x0, x1):
-    co = SCH.coefficients(t)
-    return co.w_x0 * x0 + co.w_x1 * x1
+    w0, w1, _ = SCH.coefficients(t)
+    return w0 * x0 + w1 * x1
 
 
 class TestSdeStep:
@@ -55,10 +54,10 @@ class TestSdeStep:
         n = 100_000
         x0, y = 0.0, 1.0
         out = sde_step(np.full(n, y), 1.0, 0.5, np.full(n, x0), SCH, rng)
-        co = SCH.coefficients(0.5)
-        expected_mean = co.w_x0 * x0 + co.w_x1 * y
-        assert out.mean() == pytest.approx(expected_mean, abs=4 * np.sqrt(co.var_marginal / n))
-        assert out.var() == pytest.approx(co.var_marginal, rel=0.02)
+        w0, w1, var = SCH.coefficients(0.5)
+        expected_mean = w0 * x0 + w1 * y
+        assert out.mean() == pytest.approx(expected_mean, abs=4 * np.sqrt(var / n))
+        assert out.var() == pytest.approx(var, rel=0.02)
 
     @pytest.mark.parametrize("tau", [1.0, 0.75, 0.5])
     @pytest.mark.parametrize("t", [0.45, 0.25, 0.1])
@@ -68,13 +67,13 @@ class TestSdeStep:
         rng = np.random.default_rng(7)
         n = 100_000
         x0, y = -0.8, 1.4
-        co_tau = SCH.coefficients(tau)
-        at_tau = co_tau.w_x0 * x0 + co_tau.w_x1 * y + np.sqrt(co_tau.var_marginal) * rng.standard_normal(n)
+        w0_tau, w1_tau, var_tau = SCH.coefficients(tau)
+        at_tau = w0_tau * x0 + w1_tau * y + np.sqrt(var_tau) * rng.standard_normal(n)
         out = sde_step(at_tau, tau, t, np.full(n, x0), SCH, rng)
-        co_t = SCH.coefficients(t)
-        expected_mean = co_t.w_x0 * x0 + co_t.w_x1 * y
-        assert out.mean() == pytest.approx(expected_mean, abs=4 * np.sqrt(co_t.var_marginal / n))
-        assert out.var() == pytest.approx(co_t.var_marginal, rel=0.02)
+        w0_t, w1_t, var_t = SCH.coefficients(t)
+        expected_mean = w0_t * x0 + w1_t * y
+        assert out.mean() == pytest.approx(expected_mean, abs=4 * np.sqrt(var_t / n))
+        assert out.var() == pytest.approx(var_t, rel=0.02)
 
 
 class TestOdeStep:
@@ -123,67 +122,74 @@ class TestOdeStep:
 
 class TestSampleTrajectory:
     def test_single_step_returns_prediction_at_t1(self):
-        y = np.array([0.7, -0.2])
+        y = np.array([[0.7, -0.2]])
         predictor = lambda s, t, c: 0.5 * s + 0.1
         config = SamplerConfig(n_steps=1)
-        traj = sample_trajectory(predictor, y, y, config, SCH, rng=np.random.default_rng(0))
-        np.testing.assert_allclose(traj.final, 0.5 * y + 0.1, atol=1e-15)
+        _, _, preds = sample_trajectory_batch(predictor, y, y, config, SCH, rng=np.random.default_rng(0))
+        np.testing.assert_allclose(preds[-1], 0.5 * y + 0.1, atol=1e-15)
 
     def test_lengths_and_final(self):
-        y = np.array([1.0])
+        y = np.array([[1.0]])
         predictor = lambda s, t, c: np.zeros_like(s)
         config = SamplerConfig(n_steps=10)
-        traj = sample_trajectory(predictor, y, y, config, SCH, rng=np.random.default_rng(0))
-        assert len(traj.states) == 11
-        assert len(traj.predictions) == 10
-        np.testing.assert_array_equal(traj.final, traj.predictions[-1])
-        assert traj.states[0].t == 1.0
-        assert traj.states[-1].t == pytest.approx(SCH.t_eps)
+        times, states, preds = sample_trajectory_batch(predictor, y, y, config, SCH, rng=np.random.default_rng(0))
+        assert times.shape == (11,)
+        assert states.shape == (11, 1, 1)
+        assert preds.shape == (10, 1, 1)
+        np.testing.assert_array_equal(states[0], y)
+        assert times[0] == 1.0
+        assert times[-1] == pytest.approx(SCH.t_eps)
 
     def test_oracle_sde_recovery(self):
         x0 = np.array([0.6])
-        y = np.array([-1.0])
+        y = np.array([[-1.0]])
         predictor = lambda s, t, c: np.broadcast_to(x0, s.shape)
         config = SamplerConfig(n_steps=50)
-        traj = sample_trajectory(predictor, y, y, config, SCH, rng=np.random.default_rng(5))
-        assert float(np.mean((traj.final - x0) ** 2)) < 1e-4
+        _, _, preds = sample_trajectory_batch(predictor, y, y, config, SCH, rng=np.random.default_rng(5))
+        assert float(np.mean((preds[-1] - x0) ** 2)) < 1e-4
 
     def test_init_override_changes_states_not_final(self):
+        # starting from x_star instead of y moves the states, not the solution
         x0 = np.array([0.6])
-        y = np.array([-1.0])
-        x_star = np.array([0.2])
+        y = np.array([[-1.0]])
+        x_star = np.array([[0.2]])
         predictor = lambda s, t, c: np.broadcast_to(x0, s.shape)
         config = SamplerConfig(n_steps=20)
-        t_from_y = sample_trajectory(predictor, y, y, config, SCH, rng=np.random.default_rng(1))
-        t_from_star = sample_trajectory(predictor, y, y, config, SCH, init=x_star, rng=np.random.default_rng(1))
-        assert not np.allclose(t_from_y.states[0].x_t, t_from_star.states[0].x_t)
-        np.testing.assert_array_equal(t_from_y.final, t_from_star.final)
+        _, states_y, preds_y = sample_trajectory_batch(predictor, y, y, config, SCH, rng=np.random.default_rng(1))
+        _, states_star, preds_star = sample_trajectory_batch(
+            predictor, x_star, y, config, SCH, rng=np.random.default_rng(1)
+        )
+        assert not np.allclose(states_y[0], states_star[0])
+        np.testing.assert_array_equal(preds_y[-1], preds_star[-1])
 
     def test_grid_refinement_stability(self):
         # Oracle-predictor final error is nonincreasing (within noise) in the
         # step count; with the exact oracle it is identically zero.
         x0 = np.array([0.3])
-        y = np.array([1.0])
+        y = np.array([[1.0]])
         predictor = lambda s, t, c: np.broadcast_to(x0, s.shape)
         errors = []
         for n in (1, 2, 5, 10, 25, 50, 100):
-            traj = sample_trajectory(
+            _, _, preds = sample_trajectory_batch(
                 predictor, y, y, SamplerConfig(n_steps=n), SCH, rng=np.random.default_rng(n)
             )
-            errors.append(float(np.mean((traj.final - x0) ** 2)))
+            errors.append(float(np.mean((preds[-1] - x0) ** 2)))
         assert all(e == 0.0 for e in errors)
 
     def test_predictor_shape_mismatch(self):
-        y = np.array([1.0, 2.0])
+        y = np.array([[1.0, 2.0]])
         predictor = lambda s, t, c: np.zeros((1, 3))
         with pytest.raises(ValueError):
-            sample_trajectory(predictor, y, y, SamplerConfig(n_steps=2), SCH, rng=np.random.default_rng(0))
+            sample_trajectory_batch(predictor, y, y, SamplerConfig(n_steps=2), SCH, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            sample_trajectory_batch(predictor, y, np.zeros((2, 2)), SamplerConfig(n_steps=2), SCH,
+                                    rng=np.random.default_rng(0))
 
     def test_sde_requires_rng(self):
-        y = np.array([1.0])
+        y = np.array([[1.0]])
         predictor = lambda s, t, c: np.zeros_like(s)
         with pytest.raises(ValueError):
-            sample_trajectory(predictor, y, y, SamplerConfig(n_steps=2), SCH)
+            sample_trajectory_batch(predictor, y, y, SamplerConfig(n_steps=2), SCH)
 
 
 class TestSamplerConfig:

@@ -46,63 +46,77 @@ class TestSigma2:
             sch.sigma2(-0.1)
         with pytest.raises(ValueError):
             sch.sigma2(1.1)
+        with pytest.raises(ValueError):
+            sch.sigma2(np.array([0.5, 1.1]))
+        with pytest.raises(ValueError):
+            sch.sigma2(np.array([np.nan]))
 
 
 class TestCoefficients:
     def test_endpoint_t1(self):
-        co = NoiseSchedule().coefficients(1.0)
-        assert co.w_x0 == 0.0
-        assert co.w_x1 == 1.0
-        assert co.var_marginal == 0.0
+        w0, w1, var = NoiseSchedule().coefficients(1.0)
+        assert w0 == 0.0
+        assert w1 == 1.0
+        assert var == 0.0
 
     def test_endpoint_t0(self):
-        co = NoiseSchedule().coefficients(0.0)
-        assert co.w_x0 == 1.0
-        assert co.w_x1 == 0.0
-        assert co.var_marginal == 0.0
+        w0, w1, var = NoiseSchedule().coefficients(0.0)
+        assert w0 == 1.0
+        assert w1 == 0.0
+        assert var == 0.0
 
     def test_midpoint_weights_closed_form(self):
         # w_x0 = (k^2 - k^(2t)) / (k^2 - 1) for the VE schedule
         sch = NoiseSchedule()
-        co = sch.coefficients(0.5)
+        w0, w1, _ = sch.coefficients(0.5)
         k = sch.k
-        assert co.w_x0 == pytest.approx((k**2 - k) / (k**2 - 1), rel=1e-12)
-        assert co.w_x0 == pytest.approx(0.72222, abs=1e-5)
-        assert co.w_x1 == pytest.approx(0.27778, abs=1e-5)
+        assert w0 == pytest.approx((k**2 - k) / (k**2 - 1), rel=1e-12)
+        assert w0 == pytest.approx(0.72222, abs=1e-5)
+        assert w1 == pytest.approx(0.27778, abs=1e-5)
 
     def test_midpoint_variance(self):
         # frozen from the moment-matching oracle (see test_sampler composition)
-        co = NoiseSchedule().coefficients(0.5)
-        assert co.var_marginal == pytest.approx(0.24187, abs=1e-4)
+        _, _, var = NoiseSchedule().coefficients(0.5)
+        assert var == pytest.approx(0.24187, abs=1e-4)
 
     def test_variance_splits_exactly(self):
+        # w_x0 = bar_sigma2_t / sigma2_1, w_x1 = sigma2_t / sigma2_1 and
+        # var = sigma2_t * bar_sigma2_t / sigma2_1 with bar_sigma2_t = sigma2_1 - sigma2_t,
+        # at scalar times and over an array of times
         sch = NoiseSchedule()
-        for t in np.linspace(0.0, 1.0, 50):
-            co = sch.coefficients(float(t))
-            assert co.sigma2_t + co.bar_sigma2_t == co.sigma2_1
-            assert co.w_x0 + co.w_x1 == pytest.approx(1.0, abs=1e-15)
-            assert co.alpha_t == 1.0 and co.bar_alpha_t == 1.0
+        grid = np.linspace(0.0, 1.0, 50)
+        for t in [*[float(t) for t in grid], grid]:
+            w0, w1, var = sch.coefficients(t)
+            s2_t = sch.sigma2(t)
+            bar = sch.sigma2_1 - s2_t
+            np.testing.assert_array_equal(w0, bar / sch.sigma2_1)
+            np.testing.assert_array_equal(w1, s2_t / sch.sigma2_1)
+            np.testing.assert_array_equal(var, s2_t * bar / sch.sigma2_1)
+            np.testing.assert_allclose(w0 + w1, 1.0, rtol=0, atol=1e-15)
 
     def test_weight_monotonicity(self):
         sch = NoiseSchedule()
         grid = np.linspace(0.0, 1.0, 100)
-        w0 = [sch.coefficients(float(t)).w_x0 for t in grid]
-        w1 = [sch.coefficients(float(t)).w_x1 for t in grid]
-        assert np.all(np.diff(w0) < 0)
-        assert np.all(np.diff(w1) > 0)
-        assert w0[0] == 1.0 and w0[-1] == 0.0
-        assert w1[0] == 0.0 and w1[-1] == 1.0
+        scalar = np.array([sch.coefficients(float(t))[:2] for t in grid]).T
+        for w0, w1 in (scalar, sch.coefficients(grid)[:2]):
+            assert np.all(np.diff(w0) < 0)
+            assert np.all(np.diff(w1) > 0)
+            assert w0[0] == 1.0 and w0[-1] == 0.0
+            assert w1[0] == 0.0 and w1[-1] == 1.0
 
     def test_variance_positive_interior_zero_at_ends(self):
         sch = NoiseSchedule()
         for t in np.linspace(0.05, 0.95, 30):
-            assert sch.coefficients(float(t)).var_marginal > 0
-        assert sch.coefficients(0.0).var_marginal == 0.0
-        assert sch.coefficients(1.0).var_marginal == 0.0
+            assert sch.coefficients(float(t))[2] > 0
+        assert np.all(sch.coefficients(np.linspace(0.05, 0.95, 30))[2] > 0)
+        assert sch.coefficients(0.0)[2] == 0.0
+        assert sch.coefficients(1.0)[2] == 0.0
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
             NoiseSchedule().coefficients(2.0)
+        with pytest.raises(ValueError):
+            NoiseSchedule().coefficients(np.array([0.5, -0.1]))
 
 
 class TestScheduleValidation:

@@ -25,8 +25,8 @@ class TestLinearGaussianPosterior:
     def test_noiseless_limit_recovers_x(self):
         task = LinearGaussianTask.identity(dim=3, noise_var=1e-12)
         rng = np.random.default_rng(0)
-        pair = task.sample_pair(rng)
-        np.testing.assert_allclose(pair.x_star, pair.x, atol=1e-5)
+        xs, _, x_stars = task.sample_pairs(1, rng)
+        np.testing.assert_allclose(x_stars, xs, atol=1e-5)
 
     def test_random_4dim_against_weighted_monte_carlo(self):
         # Importance-weighted conditional mean from 1e6 joint draws.
@@ -38,7 +38,7 @@ class TestLinearGaussianPosterior:
         Sigma_n = qn @ qn.T + 0.2 * np.eye(4)
         task = LinearGaussianTask(mu0=rng.standard_normal(4), Sigma0=Sigma0, A=A, Sigma_n=Sigma_n)
 
-        y0 = task.sample_pair(rng).y
+        y0 = task.sample_pairs(1, rng)[1][0]
         analytic = task.posterior_mean(y0)
 
         n = 1_000_000
@@ -114,8 +114,10 @@ class TestSamplers:
     def test_mixture_pair_consistency(self):
         task = MixtureTask(dim=2)
         rng = np.random.default_rng(7)
-        pair = task.sample_pair(rng)
-        np.testing.assert_allclose(pair.x_star, task.posterior_mean(pair.y), atol=1e-14)
+        _, ys, x_stars = task.sample_pairs(16, rng)
+        np.testing.assert_allclose(x_stars, task.posterior_mean(ys), atol=1e-14)
+        for y, x_star in zip(ys, x_stars):
+            np.testing.assert_allclose(x_star, task.posterior_mean(y), atol=1e-14)
 
     def test_batch_matches_scalar_path_shapes(self):
         task = MixtureTask(dim=2)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bridgelab.bridge import TrainingPair
+from bridgelab.bridge import perturb
 from bridgelab.model import (
     apply_mlp,
     bridge_model_spec,
@@ -20,11 +20,10 @@ from bridgelab.training import (
     DivergenceError,
     TrainConfig,
     TrainingStrategy,
+    batch_loss_and_grads,
     inference_endpoints,
     train,
     train_predictor,
-    training_step,
-    vector_coefficients,
 )
 
 SCH = NoiseSchedule()
@@ -63,30 +62,27 @@ class TestStrategies:
 class TestVectorCoefficients:
     def test_matches_scalar_coefficients(self):
         ts = np.linspace(SCH.t_eps, 1.0, 37)
-        w0, w1, var = vector_coefficients(SCH, ts)
+        w0, w1, var = SCH.coefficients(ts)
         for i, t in enumerate(ts):
-            co = SCH.coefficients(float(t))
-            assert w0[i] == pytest.approx(co.w_x0, rel=1e-12)
-            assert w1[i] == pytest.approx(co.w_x1, rel=1e-12)
-            assert var[i] == pytest.approx(co.var_marginal, rel=1e-12)
+            s_w0, s_w1, s_var = SCH.coefficients(float(t))
+            assert w0[i] == pytest.approx(s_w0, rel=1e-12)
+            assert w1[i] == pytest.approx(s_w1, rel=1e-12)
+            assert var[i] == pytest.approx(s_var, rel=1e-12)
+
+
+def one_row_step(params, spec, x, y, x_star, t, strategy, rng):
+    """The batched step on a one-row batch whose endpoint and condition are y."""
+    x, y, x_star = (np.array([[v]]) for v in (x, y, x_star))
+    return batch_loss_and_grads(params, spec, x, y, y, x_star, np.array([t]), strategy, SCH, rng)
 
 
 class TestTrainingStep:
-    def pair(self, x=0.4, y=1.2, x_star=0.1):
-        return TrainingPair(
-            x=np.array([x]), y=np.array([y]), x_star=np.array([x_star])
-        )
-
     def test_strategies_collapse_when_x_star_equals_x(self):
         spec = bridge_model_spec(1, hidden=(8,))
         params = init_params(spec, np.random.default_rng(0))
-        pair = self.pair(x=0.4, x_star=0.4)
         results = {}
         for strategy in TrainingStrategy:
-            loss, grads = training_step(
-                params, spec, pair, 0.6, strategy, SCH, np.random.default_rng(99)
-            )
-            results[strategy] = (loss, grads)
+            results[strategy] = one_row_step(params, spec, 0.4, 1.2, 0.4, 0.6, strategy, np.random.default_rng(99))
         losses = [results[s][0] for s in TrainingStrategy]
         assert losses[0] == losses[1] == losses[2]
         base = results[TrainingStrategy.VANILLA][1]
@@ -98,32 +94,35 @@ class TestTrainingStep:
         # at t = 1 the state is exactly y and the target exactly x_star
         spec = bridge_model_spec(1, hidden=(8,))
         params = init_params(spec, np.random.default_rng(1))
-        pair = self.pair()
-        loss, _ = training_step(
-            params, spec, pair, 1.0, TrainingStrategy.JOINT, SCH, np.random.default_rng(0)
-        )
-        out = forward(params, spec, pair.y, 1.0, pair.y)
-        expected = float(np.mean((out - pair.x_star) ** 2))
+        loss, _ = one_row_step(params, spec, 0.4, 1.2, 0.1, 1.0, TrainingStrategy.JOINT, np.random.default_rng(0))
+        out = forward(params, spec, np.array([1.2]), 1.0, np.array([1.2]))
+        expected = float(np.mean((out - 0.1) ** 2))
         assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_joint_target_near_t_eps_stays_close_to_clean(self):
         # omega(t_eps) = 1e-8 pulls the target only omega * |x_star - x|
         t = SCH.t_eps
-        pair = self.pair(x=0.0, x_star=2.0)
-        from bridgelab.bridge import perturbed_target
+        target = perturb(np.array([[0.0]]), np.array([[2.0]]), np.array([t]))
+        assert abs(target[0, 0]) == pytest.approx(t**2 * 2.0, rel=1e-12)
+        assert abs(target[0, 0]) < 1e-7
 
-        target = perturbed_target(pair, t)
-        assert abs(target[0] - pair.x[0]) == pytest.approx(t**2 * 2.0, rel=1e-12)
-        assert abs(target[0] - pair.x[0]) < 1e-7
-
-    def test_time_domain_guard(self):
+    def test_rejects_mismatched_rows(self):
         spec = bridge_model_spec(1, hidden=(4,))
         params = init_params(spec, np.random.default_rng(2))
-        with pytest.raises(ValueError):
-            training_step(
-                params, spec, self.pair(), 0.0, TrainingStrategy.VANILLA, SCH,
-                np.random.default_rng(0),
-            )
+        xs = np.zeros((2, 1))
+        for strategy in TrainingStrategy:
+            with pytest.raises(ValueError):
+                batch_loss_and_grads(params, spec, xs, np.zeros((3, 1)), np.zeros((3, 1)), xs,
+                                     np.full(2, 0.5), strategy, SCH, np.random.default_rng(0))
+
+    def test_non_finite_posterior_mean_raises(self):
+        # a non-finite x_star reaches the perturbed state and target, and the
+        # step reports a non-finite loss, which train() turns into DivergenceError
+        spec = bridge_model_spec(1, hidden=(4,))
+        params = init_params(spec, np.random.default_rng(2))
+        for strategy in (TrainingStrategy.INPUT_ONLY, TrainingStrategy.JOINT):
+            with pytest.raises(FloatingPointError):
+                one_row_step(params, spec, 0.4, 1.2, np.nan, 0.5, strategy, np.random.default_rng(0))
 
 
 class TestTrainPredictor:
