@@ -90,16 +90,12 @@ def csv_body(path: Path) -> str:
 # training orchestration
 
 
-def _task_dim(cfg: ExperimentConfig) -> int:
-    return cfg.task.dim
-
-
 def _method_label(strategy: TrainingStrategy, conditioning: ConditioningStrategy) -> str:
     return conditioning.value if conditioning is not ConditioningStrategy.M1 else strategy.value
 
 
 def train_predictor_for_seed(cfg: ExperimentConfig, seed: int, seed_dir: Path) -> tuple[ModelParameters, Path]:
-    d = _task_dim(cfg)
+    d = cfg.task.dim
     pspec = predictor_spec(d, cfg.model_hidden)
     params = train_predictor(cfg.task, pspec, cfg.train, named_stream(seed, "predictor"))
     path = seed_dir / "predictor.json"
@@ -122,9 +118,9 @@ def train_bridge_for_seed(
     seed_dir: Path,
     label: str | None = None,
 ) -> Path:
-    d = _task_dim(cfg)
+    d = cfg.task.dim
     spec = bridge_model_spec(d, cfg.model_hidden, cfg.time_embed_pairs)
-    train_cfg = replace(cfg.train, strategy=strategy, conditioning=conditioning, seed=seed)
+    train_cfg = replace(cfg.train, strategy=strategy, conditioning=conditioning)
     params, ema, log = train(
         cfg.task,
         spec,
@@ -171,7 +167,7 @@ def _read_checkpoint(path: Path) -> dict:
         ckpt = load_checkpoint(path)
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointMismatchError(f"unreadable checkpoint {path}: {exc}") from exc
-    if not all(np.all(np.isfinite(a)) for a in ckpt["params"].arrays()):
+    if not np.isfinite(ckpt["params"].flat).all():
         raise CheckpointMismatchError(f"checkpoint {path} has non-finite parameters")
     return ckpt
 
@@ -180,7 +176,7 @@ def _load_bridge(path: Path, cfg: ExperimentConfig) -> dict:
     if not Path(path).is_file():
         raise CheckpointMismatchError(f"checkpoint not found: {path}")
     ckpt = _read_checkpoint(path)
-    expected = bridge_model_spec(_task_dim(cfg), cfg.model_hidden, cfg.time_embed_pairs)
+    expected = bridge_model_spec(cfg.task.dim, cfg.model_hidden, cfg.time_embed_pairs)
     if ckpt["spec"] != expected:
         raise CheckpointMismatchError(
             f"checkpoint {path} was trained with {ckpt['spec']}, config expects {expected}"
@@ -209,7 +205,7 @@ def _predictor_fn_for(ckpt: dict, ckpt_path: Path, cfg: ExperimentConfig):
             f"{conditioning.value} needs the predictor checkpoint, missing: {pred_path}"
         )
     pred = _read_checkpoint(pred_path)
-    if pred["spec"].output_dim != _task_dim(cfg):
+    if pred["spec"].output_dim != cfg.task.dim:
         raise CheckpointMismatchError(f"predictor {pred_path} does not match the task dimension")
     return lambda ys: apply_mlp(pred["params"], ys)
 
@@ -263,7 +259,6 @@ def evaluate_bridge(
         si_sdr_db=float(np.mean([si_sdr(f, x) for f, x in zip(finals, xs)])),
         w2=w2,
         energy_distance=energy,
-        per_step_error=prediction_errors(preds, xs).tolist(),
     )
 
 

@@ -7,6 +7,7 @@ ignored options are how experiments go wrong.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,23 +47,30 @@ def _integer(value, name: str) -> int:
     return value
 
 
+def _real(value, name: str) -> float:
+    """A real parameter from the document; JSON booleans and non-finite numbers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
 def _parse_task(block: dict) -> Task:
     kind = block.get("kind")
     if kind == "mixture":
         _require_keys(block, {"kind", "centers", "weights", "s2", "noise_var", "dim"}, "task")
         return MixtureTask(
-            centers=tuple(block.get("centers", (-1.0, 1.0))),
-            weights=tuple(block.get("weights", (0.5, 0.5))),
-            s2=block.get("s2", 0.01),
-            noise_var=block.get("noise_var", 0.25),
+            centers=tuple(_real(c, "each of task.centers") for c in block.get("centers", (-1.0, 1.0))),
+            weights=tuple(_real(w, "each of task.weights") for w in block.get("weights", (0.5, 0.5))),
+            s2=_real(block.get("s2", 0.01), "task.s2"),
+            noise_var=_real(block.get("noise_var", 0.25), "task.noise_var"),
             dim=_integer(block.get("dim", 1), "task.dim"),
         )
     if kind == "linear_gaussian":
         _require_keys(block, {"kind", "dim", "prior_var", "noise_var"}, "task")
         return LinearGaussianTask.identity(
             dim=_integer(block.get("dim", 1), "task.dim"),
-            prior_var=block.get("prior_var", 1.0),
-            noise_var=block.get("noise_var", 1.0),
+            prior_var=_real(block.get("prior_var", 1.0), "task.prior_var"),
+            noise_var=_real(block.get("noise_var", 1.0), "task.noise_var"),
         )
     raise ConfigError(f"task.kind must be 'mixture' or 'linear_gaussian', got {kind!r}")
 
@@ -70,7 +78,9 @@ def _parse_task(block: dict) -> Task:
 def _parse_schedule(block: dict) -> NoiseSchedule:
     _require_keys(block, {"c", "k", "t_eps"}, "schedule")
     return NoiseSchedule(
-        c=block.get("c", 0.40), k=block.get("k", 2.6), t_eps=block.get("t_eps", 1e-4)
+        c=_real(block.get("c", 0.40), "schedule.c"),
+        k=_real(block.get("k", 2.6), "schedule.k"),
+        t_eps=_real(block.get("t_eps", 1e-4), "schedule.t_eps"),
     )
 
 
@@ -110,10 +120,11 @@ def _parse_sampler(block: dict) -> SamplerConfig:
         kind = SamplerKind(block.get("kind", "SDE"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    t_min = block.get("t_min")
     return SamplerConfig(
         n_steps=_integer(block.get("n_steps", 50), "sampler.n_steps"),
         kind=kind,
-        t_min=block.get("t_min"),
+        t_min=None if t_min is None else _real(t_min, "sampler.t_min"),
         grid=block.get("grid", "uniform"),
     )
 

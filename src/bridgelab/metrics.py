@@ -10,7 +10,7 @@ its moment-matched Gaussian; the energy distance can).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ class EvalReport:
     si_sdr_db: float
     w2: float
     energy_distance: float
-    per_step_error: list[float] = field(default_factory=list)
 
 
 def si_sdr(estimate: np.ndarray, reference: np.ndarray, ceiling_db: float = SI_SDR_CEILING_DB) -> float:

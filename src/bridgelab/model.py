@@ -13,7 +13,7 @@ exactly, so save/load is bit-exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -75,37 +75,40 @@ def predictor_spec(dim: int, hidden: tuple[int, ...] = DEFAULT_HIDDEN) -> MlpSpe
     return MlpSpec(input_dim=dim, output_dim=dim, hidden=hidden, time_embed_pairs=0)
 
 
-@dataclass
 class ModelParameters:
-    """Per-layer weight matrices (in x out) and bias vectors, in order."""
+    """All layers' weights (in x out) and biases in one contiguous float64 vector.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    `flat` holds w0, b0, w1, b1, ... in the order of `layer_dims`, zeros when
+    omitted; `weights[i]` and `biases[i]` are reshape views into it.  Whole-model
+    updates run on `flat`, per-layer code reads the views.  Parameters,
+    gradients, Adam moments and the EMA shadow all share this layout.
+    """
+
+    def __init__(self, layer_dims: list[tuple[int, int]], flat: np.ndarray | None = None):
+        self.layer_dims = layer_dims
+        size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in layer_dims)
+        self.flat = np.zeros(size) if flat is None else flat
+        if self.flat.shape != (size,):
+            raise ValueError(f"flat vector has shape {self.flat.shape}, layers need ({size},)")
+        self.weights, self.biases = [], []
+        offset = 0
+        for fan_in, fan_out in layer_dims:
+            end = offset + fan_in * fan_out
+            self.weights.append(self.flat[offset:end].reshape(fan_in, fan_out))
+            self.biases.append(self.flat[end : end + fan_out])
+            offset = end + fan_out
 
     def copy(self) -> "ModelParameters":
-        return ModelParameters(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
-
-    def arrays(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
-
-    def count(self) -> int:
-        return sum(a.size for a in self.arrays())
+        return ModelParameters(self.layer_dims, self.flat.copy())
 
 
 def init_params(spec: MlpSpec, rng: np.random.Generator) -> ModelParameters:
     """Glorot-scaled normal weights, zero biases."""
-    weights, biases = [], []
-    for fan_in, fan_out in spec.layer_dims:
-        std = np.sqrt(2.0 / (fan_in + fan_out))
-        weights.append(std * rng.standard_normal((fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return ModelParameters(weights=weights, biases=biases)
+    params = ModelParameters(spec.layer_dims)
+    for w in params.weights:
+        fan_in, fan_out = w.shape
+        w[...] = np.sqrt(2.0 / (fan_in + fan_out)) * rng.standard_normal((fan_in, fan_out))
+    return params
 
 
 def time_embedding(t, pairs: int = DEFAULT_TIME_EMBED_PAIRS) -> np.ndarray:
@@ -136,17 +139,21 @@ def assemble_inputs(spec: MlpSpec, x_t: np.ndarray, t, condition: np.ndarray) ->
     return u
 
 
+def _activations(params: ModelParameters, u: np.ndarray) -> list[np.ndarray]:
+    """Input followed by every layer's output: tanh hidden layers, linear head."""
+    acts = [u]
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = acts[-1] @ w + b
+        acts.append(np.tanh(h) if i < last else h)
+    return acts
+
+
 def apply_mlp(params: ModelParameters, inputs: np.ndarray) -> np.ndarray:
     """Plain forward pass on pre-assembled inputs (B, input_dim) or (input_dim,)."""
     u = np.asarray(inputs, dtype=float)
-    single = u.ndim == 1
-    h = np.atleast_2d(u)
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w + b
-        if i < last:
-            h = np.tanh(h)
-    return h[0] if single else h
+    out = _activations(params, np.atleast_2d(u))[-1]
+    return out[0] if u.ndim == 1 else out
 
 
 def forward(params: ModelParameters, spec: MlpSpec, x_t: np.ndarray, t, condition: np.ndarray) -> np.ndarray:
@@ -178,15 +185,7 @@ def loss_and_gradients(
     if u.shape[0] != targets.shape[0] or u.shape[0] == 0:
         raise ValueError(f"batch mismatch or empty: inputs {u.shape}, targets {targets.shape}")
 
-    # forward with caches
-    last = len(params.weights) - 1
-    acts = [u]
-    h = u
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w + b
-        if i < last:
-            h = np.tanh(h)
-        acts.append(h)
+    acts = _activations(params, u)
     out = acts[-1]
     if out.shape != targets.shape:
         raise ValueError(f"output shape {out.shape} != target shape {targets.shape}")
@@ -197,18 +196,16 @@ def loss_and_gradients(
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss")
 
-    # backward
+    # backward, each layer's gradient written into its views of one vector
+    grads = ModelParameters(params.layer_dims, np.empty_like(params.flat))
     g = 2.0 * diff / diff.size
-    grad_w = [np.empty(0)] * len(params.weights)
-    grad_b = [np.empty(0)] * len(params.biases)
-    for i in range(last, -1, -1):
-        h_in = acts[i]
-        grad_w[i] = h_in.T @ g
-        grad_b[i] = g.sum(axis=0)
+    for i in range(len(params.weights) - 1, -1, -1):
+        np.matmul(acts[i].T, g, out=grads.weights[i])
+        g.sum(axis=0, out=grads.biases[i])
         if i > 0:
             g = g @ params.weights[i].T
             g = g * (1.0 - acts[i] ** 2)  # tanh'(z) = 1 - tanh(z)^2
-    return loss, ModelParameters(weights=grad_w, biases=grad_b)
+    return loss, grads
 
 
 @dataclass
@@ -225,29 +222,27 @@ class AdamState:
 
 
 def init_adam(params: ModelParameters, learning_rate: float = 1e-4) -> AdamState:
-    zeros = lambda: ModelParameters(
-        weights=[np.zeros_like(w) for w in params.weights],
-        biases=[np.zeros_like(b) for b in params.biases],
+    return AdamState(
+        m=ModelParameters(params.layer_dims),
+        v=ModelParameters(params.layer_dims),
+        learning_rate=learning_rate,
     )
-    return AdamState(m=zeros(), v=zeros(), learning_rate=learning_rate)
 
 
 def adam_update(
     params: ModelParameters, grads: ModelParameters, state: AdamState
 ) -> tuple[ModelParameters, AdamState]:
-    """Bias-corrected Adam step, applied in place."""
+    """Bias-corrected Adam step, applied in place to the whole vector."""
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1**state.step
     c2 = 1.0 - b2**state.step
-    for p, g, m, v in zip(
-        params.arrays(), grads.arrays(), state.m.arrays(), state.v.arrays()
-    ):
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g**2
-        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps_hat)
+    g, m, v = grads.flat, state.m.flat, state.v.flat
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g**2
+    params.flat -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps_hat)
     return params, state
 
 
@@ -266,9 +261,8 @@ def init_ema(params: ModelParameters, decay: float = 0.999) -> EmaState:
 def ema_update(ema: EmaState, params: ModelParameters) -> EmaState:
     """shadow <- decay * shadow + (1 - decay) * params, in place."""
     d = ema.decay
-    for s, p in zip(ema.shadow.arrays(), params.arrays()):
-        s *= d
-        s += (1.0 - d) * p
+    ema.shadow.flat *= d
+    ema.shadow.flat += (1.0 - d) * params.flat
     return ema
 
 
@@ -278,43 +272,38 @@ def ema_update(ema: EmaState, params: ModelParameters) -> EmaState:
 CHECKPOINT_FORMAT = "bridgelab-checkpoint.v1"
 
 
-def _spec_to_dict(spec: MlpSpec) -> dict:
-    return {
-        "input_dim": spec.input_dim,
-        "output_dim": spec.output_dim,
-        "hidden": list(spec.hidden),
-        "activation": spec.activation,
-        "time_embed_pairs": spec.time_embed_pairs,
-    }
-
-
-def _spec_from_dict(d: dict) -> MlpSpec:
-    return MlpSpec(
-        input_dim=d["input_dim"],
-        output_dim=d["output_dim"],
-        hidden=tuple(d["hidden"]),
-        activation=d["activation"],
-        time_embed_pairs=d["time_embed_pairs"],
-    )
+def _named_views(params: ModelParameters) -> dict[str, np.ndarray]:
+    """Checkpoint names of the layer views, in file order w0, b0, w1, b1, ..."""
+    views = {}
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        views[f"w{i}"], views[f"b{i}"] = w, b
+    return views
 
 
 def _params_to_list(params: ModelParameters) -> list[dict]:
-    out = []
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        out.append({"name": f"w{i}", "shape": list(w.shape), "data": w.ravel().tolist()})
-        out.append({"name": f"b{i}", "shape": list(b.shape), "data": b.ravel().tolist()})
-    return out
+    return [
+        {"name": name, "shape": list(a.shape), "data": a.ravel().tolist()}
+        for name, a in _named_views(params).items()
+    ]
 
 
-def _params_from_list(entries: list[dict]) -> ModelParameters:
-    arrays = {
-        e["name"]: np.asarray(e["data"], dtype=float).reshape(e["shape"]) for e in entries
-    }
-    n_layers = len(arrays) // 2
-    return ModelParameters(
-        weights=[arrays[f"w{i}"] for i in range(n_layers)],
-        biases=[arrays[f"b{i}"] for i in range(n_layers)],
-    )
+def _params_from_list(entries: list[dict], spec: MlpSpec, where: str) -> ModelParameters:
+    """Fill spec-shaped views; every array must be named and shaped as the spec says."""
+    params = ModelParameters(spec.layer_dims)
+    views = _named_views(params)
+    names = [e["name"] for e in entries]
+    if sorted(names) != sorted(views):
+        raise ValueError(f"{where} holds arrays {names}, the spec needs {list(views)}")
+    for e in entries:
+        view = views[e["name"]]
+        data = np.asarray(e["data"], dtype=float)
+        if list(e["shape"]) != list(view.shape) or data.shape != (view.size,):
+            raise ValueError(
+                f"{where} array {e['name']} has shape {e['shape']} and {data.size} values, "
+                f"the spec needs {list(view.shape)}"
+            )
+        view[...] = data.reshape(view.shape)
+    return params
 
 
 def save_checkpoint(
@@ -328,7 +317,7 @@ def save_checkpoint(
 ) -> None:
     doc = {
         "format": CHECKPOINT_FORMAT,
-        "spec": _spec_to_dict(spec),
+        "spec": asdict(spec),
         "params": _params_to_list(params),
         "adam": None,
         "ema": None,
@@ -336,17 +325,9 @@ def save_checkpoint(
         "meta": meta or {},
     }
     if adam is not None:
-        doc["adam"] = {
-            "step": adam.step,
-            "learning_rate": adam.learning_rate,
-            "beta1": adam.beta1,
-            "beta2": adam.beta2,
-            "eps_hat": adam.eps_hat,
-            "m": _params_to_list(adam.m),
-            "v": _params_to_list(adam.v),
-        }
+        doc["adam"] = {**vars(adam), "m": _params_to_list(adam.m), "v": _params_to_list(adam.v)}
     if ema is not None:
-        doc["ema"] = {"decay": ema.decay, "shadow": _params_to_list(ema.shadow)}
+        doc["ema"] = {**vars(ema), "shadow": _params_to_list(ema.shadow)}
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=1, sort_keys=True))
@@ -357,9 +338,13 @@ def load_checkpoint(path: str | Path) -> dict:
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a recognised checkpoint: {path}")
+    keys = {f.name for f in fields(MlpSpec)}
+    if set(doc["spec"]) != keys:  # MlpSpec's defaults must not stand in for a missing key
+        raise ValueError(f"spec has keys {sorted(doc['spec'])}, expected {sorted(keys)}")
+    spec = MlpSpec(**doc["spec"])
     out = {
-        "spec": _spec_from_dict(doc["spec"]),
-        "params": _params_from_list(doc["params"]),
+        "spec": spec,
+        "params": _params_from_list(doc["params"], spec, "params"),
         "adam": None,
         "ema": None,
         "seed_lineage": doc.get("seed_lineage", {}),
@@ -367,16 +352,16 @@ def load_checkpoint(path: str | Path) -> dict:
     }
     if doc.get("adam"):
         a = doc["adam"]
-        state = AdamState(
-            m=_params_from_list(a["m"]),
-            v=_params_from_list(a["v"]),
+        out["adam"] = AdamState(
+            m=_params_from_list(a["m"], spec, "adam.m"),
+            v=_params_from_list(a["v"], spec, "adam.v"),
             step=a["step"],
             learning_rate=a["learning_rate"],
             beta1=a["beta1"],
             beta2=a["beta2"],
             eps_hat=a["eps_hat"],
         )
-        out["adam"] = state
     if doc.get("ema"):
-        out["ema"] = EmaState(shadow=_params_from_list(doc["ema"]["shadow"]), decay=doc["ema"]["decay"])
+        e = doc["ema"]
+        out["ema"] = EmaState(shadow=_params_from_list(e["shadow"], spec, "ema.shadow"), decay=e["decay"])
     return out

@@ -95,7 +95,6 @@ class TrainConfig:
     epochs: int = 30
     steps_per_epoch: int = 400
     batch_size: int = 16
-    seed: int = 0
     strategy: TrainingStrategy = TrainingStrategy.VANILLA
     conditioning: ConditioningStrategy = ConditioningStrategy.M1
     patience: int = 20

@@ -142,18 +142,17 @@ class TestCriterion04GradientExactness:
             targets = rng.standard_normal((4, spec.output_dim))
             _, analytic = loss_and_gradients(params, inputs, targets)
             h = 1e-5
-            for arr, g_arr in zip(params.arrays(), analytic.arrays()):
-                flat, gflat = arr.ravel(), g_arr.ravel()
-                for i in range(flat.size):
-                    orig = flat[i]
-                    flat[i] = orig + h
-                    lp, _ = loss_and_gradients(params, inputs, targets)
-                    flat[i] = orig - h
-                    lm, _ = loss_and_gradients(params, inputs, targets)
-                    flat[i] = orig
-                    fd = (lp - lm) / (2 * h)
-                    denom = max(abs(gflat[i]), abs(fd), 1e-6)
-                    worst = max(worst, abs(gflat[i] - fd) / denom)
+            flat, gflat = params.flat, analytic.flat
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                lp, _ = loss_and_gradients(params, inputs, targets)
+                flat[i] = orig - h
+                lm, _ = loss_and_gradients(params, inputs, targets)
+                flat[i] = orig
+                fd = (lp - lm) / (2 * h)
+                denom = max(abs(gflat[i]), abs(fd), 1e-6)
+                worst = max(worst, abs(gflat[i] - fd) / denom)
         assert worst < 1e-4
         report(4, f"max relative gradient error over 5 random configurations: {worst:.2e}")
 
@@ -220,8 +219,7 @@ class TestCriterion06StrategyCollapse:
         for t, values in losses.items():
             assert values[0] == values[1] == values[2]
             for g in grads[t][1:]:
-                for a, b in zip(g.arrays(), grads[t][0].arrays()):
-                    np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(g.flat, grads[t][0].flat)
         report(6, "Vanilla/InputOnly/Joint losses and gradients bitwise equal when x_star = x")
 
 
@@ -260,7 +258,7 @@ def head_to_head():
     for seed in e["seeds"]:
         base = dict(
             epochs=e["epochs"], steps_per_epoch=e["steps_per_epoch"], batch_size=e["batch_size"],
-            seed=seed, patience=e["patience"],
+            patience=e["patience"],
         )
         predictor = train_predictor(
             task, predictor_spec(e["dim"], e["hidden"]), TrainConfig(**base), named_stream(seed, "predictor")

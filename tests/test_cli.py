@@ -8,7 +8,8 @@ import pytest
 
 from bridgelab import cli
 from bridgelab.config import load_config
-from bridgelab.model import apply_mlp, load_checkpoint
+from bridgelab.metrics import prediction_errors
+from bridgelab.model import load_checkpoint
 from bridgelab.seeding import named_stream
 
 TINY = {
@@ -35,6 +36,11 @@ def tiny_config(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(TINY))
     return path
+
+
+def array_entry(entries, name):
+    """The checkpoint entry of one named parameter array."""
+    return next(e for e in entries if e["name"] == name)
 
 
 def sha256(path):
@@ -171,8 +177,16 @@ class TestCheckpointValidation:
             ("model_M2.json", lambda d: d["meta"].update(conditioning="M9")),
             ("model_M2.json", lambda d: d["params"][0]["data"].__setitem__(0, float("nan"))),
             ("predictor.json", lambda d: d["params"][1]["data"].__setitem__(0, float("inf"))),
+            ("model_M2.json", lambda d: array_entry(d["params"], "w1").update(shape=[4, 16])),
+            ("model_M2.json", lambda d: d["params"].remove(array_entry(d["params"], "b2"))),
+            ("model_M2.json", lambda d: d["params"].append(dict(array_entry(d["params"], "w2"), name="w3"))),
+            ("model_M2.json", lambda d: array_entry(d["ema"]["shadow"], "b0")["data"].pop()),
+            ("predictor.json", lambda d: d["params"].remove(array_entry(d["params"], "w0"))),
         ],
-        ids=["no-conditioning", "no-method", "bad-conditioning", "nan-bridge", "inf-predictor"],
+        ids=[
+            "no-conditioning", "no-method", "bad-conditioning", "nan-bridge", "inf-predictor",
+            "w1-reshaped", "b2-missing", "extra-w3", "ema-b0-short", "predictor-no-w0",
+        ],
     )
     def test_bad_checkpoint_exit(self, trained, tmp_path, capsys, command, name, damage):
         config, ckpt = self.damaged_copy(trained, tmp_path, damage, name)
@@ -193,7 +207,8 @@ class TestExposureCommand:
         cfg = load_config(tiny_config)
         xs, ys, reference = cli.make_eval_set(cfg, 3)
         _, report = cli.evaluate_checkpoint_file(cfg, ckpt, xs, ys, reference, 3)
-        assert float(last[4]) == report.per_step_error[-1]
+        _, preds = cli.sample_bridge(cfg, load_checkpoint(ckpt), ys, 3)
+        assert float(last[4]) == prediction_errors(preds, xs)[-1]
         assert float(last[5]) == report.mse
         assert float(last[6]) == report.w2
 

@@ -95,11 +95,24 @@ class TestLoadConfig:
             lambda d: d.update({"model": 5}),
             lambda d: d.update({"train": []}),
             lambda d: d.update({"task": [1]}),
+            lambda d: d["schedule"].update({"c": True}),
+            lambda d: d["schedule"].update({"k": float("nan")}),
+            lambda d: d["schedule"].update({"t_eps": "1e-4"}),
+            lambda d: d["task"].update({"noise_var": True}),
+            lambda d: d["task"].update({"centers": [True, 1.0]}),
+            lambda d: d["task"].update({"weights": [0.5, float("inf")]}),
+            lambda d: d["task"].update({"centers": 1.0}),
+            lambda d: d["task"].update({"s2": float("inf")}),
+            lambda d: d.update({"task": {"kind": "linear_gaussian", "prior_var": False}}),
+            lambda d: d.update({"task": {"kind": "linear_gaussian", "noise_var": float("-inf")}}),
+            lambda d: d["sampler"].update({"t_min": True}),
         ],
         ids=[
             "epochs-float", "epochs-bool", "batch-integral-float", "patience-bool", "n_steps-float",
             "dim-bool", "embed-float", "hidden-bool", "hidden-scalar", "seed-bool", "seed-float",
-            "model-scalar", "train-list", "task-list",
+            "model-scalar", "train-list", "task-list", "c-bool", "k-nan", "t_eps-string",
+            "noise_var-bool", "center-bool", "weight-inf", "centers-scalar", "s2-inf", "prior_var-bool",
+            "linear-noise_var-inf", "t_min-bool",
         ],
     )
     def test_counts_and_blocks_must_be_typed(self, tmp_path, capsys, mutate):

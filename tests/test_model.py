@@ -1,7 +1,13 @@
-"""Network forward/backward, Adam, EMA, and checkpoint round-trips."""
+"""Network forward/backward, Adam, EMA, the flat parameter layout, and checkpoint round-trips."""
+
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bridgelab.model import (
     AdamState,
@@ -25,30 +31,28 @@ from bridgelab.model import (
 
 
 def finite_difference_grads(params, inputs, targets, h=1e-5):
-    """Central-difference gradient oracle, one coordinate at a time."""
-    grads = []
-    for arr in params.arrays():
-        g = np.zeros_like(arr)
-        flat = arr.ravel()
-        gflat = g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            lp, _ = loss_and_gradients(params, inputs, targets)
-            flat[i] = orig - h
-            lm, _ = loss_and_gradients(params, inputs, targets)
-            flat[i] = orig
-            gflat[i] = (lp - lm) / (2 * h)
-        grads.append(g)
+    """Central-difference gradient oracle, one coordinate of the flat vector at a time."""
+    flat = params.flat
+    grads = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        lp, _ = loss_and_gradients(params, inputs, targets)
+        flat[i] = orig - h
+        lm, _ = loss_and_gradients(params, inputs, targets)
+        flat[i] = orig
+        grads[i] = (lp - lm) / (2 * h)
     return grads
 
 
 def max_relative_error(analytic, numeric):
-    worst = 0.0
-    for a, n in zip(analytic, numeric):
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-6)
-        worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def one_weight(w, b=0.0):
+    """A single 1 x 1 affine layer with weight w and bias b."""
+    return ModelParameters([(1, 1)], np.array([w, b]))
 
 
 class TestForward:
@@ -112,8 +116,7 @@ class TestLossAndGradients:
         out = apply_mlp(params, u)
         loss, grads = loss_and_gradients(params, u, out)
         assert loss == 0.0
-        for g in grads.arrays():
-            np.testing.assert_array_equal(g, np.zeros_like(g))
+        np.testing.assert_array_equal(grads.flat, np.zeros_like(grads.flat))
 
     def test_linear_head_hand_derivative(self):
         # Output head reduces to out = b1 with a zeroed hidden path; with
@@ -142,7 +145,7 @@ class TestLossAndGradients:
             targets = rng.standard_normal((3, spec.output_dim))
             _, analytic = loss_and_gradients(params, u, targets)
             numeric = finite_difference_grads(params, u, targets)
-            assert max_relative_error(analytic.arrays(), numeric) < 1e-4
+            assert max_relative_error(analytic.flat, numeric) < 1e-4
 
     def test_batch_permutation_invariance(self):
         spec = predictor_spec(2, hidden=(6,))
@@ -173,28 +176,24 @@ class TestAdam:
         spec = predictor_spec(1, hidden=(3,))
         params = init_params(spec, np.random.default_rng(15))
         before = params.copy()
-        zeros = ModelParameters(
-            weights=[np.zeros_like(w) for w in params.weights],
-            biases=[np.zeros_like(b) for b in params.biases],
-        )
+        zeros = ModelParameters(params.layer_dims)
         state = init_adam(params)
         adam_update(params, zeros, state)
-        for a, b in zip(params.arrays(), before.arrays()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(params.flat, before.flat)
         assert state.step == 1
 
     def test_first_step_hand_computation(self):
         # scalar parameter p = 1, gradient 0.5, lr 0.1:
         # m_hat = 0.5, v_hat = 0.25 -> p - 0.1 * 0.5 / (0.5 + eps) ~= 0.9
-        params = ModelParameters(weights=[np.array([[1.0]])], biases=[np.array([0.0])])
-        grads = ModelParameters(weights=[np.array([[0.5]])], biases=[np.array([0.0])])
+        params = one_weight(1.0)
+        grads = one_weight(0.5)
         state = init_adam(params, learning_rate=0.1)
         adam_update(params, grads, state)
         assert params.weights[0][0, 0] == pytest.approx(0.9, abs=1e-6)
 
     def test_constant_gradient_monotone_descent(self):
-        params = ModelParameters(weights=[np.array([[0.0]])], biases=[np.array([0.0])])
-        grads = ModelParameters(weights=[np.array([[1.0]])], biases=[np.array([0.0])])
+        params = one_weight(0.0)
+        grads = one_weight(1.0)
         state = init_adam(params, learning_rate=0.01)
         values = [params.weights[0][0, 0]]
         for _ in range(3):
@@ -205,14 +204,14 @@ class TestAdam:
 
 class TestEma:
     def test_decay_zero_copies_parameters(self):
-        params = ModelParameters(weights=[np.array([[2.0]])], biases=[np.array([1.0])])
+        params = one_weight(2.0, 1.0)
         ema = init_ema(params, decay=0.0)
         params.weights[0][0, 0] = 5.0
         ema_update(ema, params)
         assert ema.shadow.weights[0][0, 0] == 5.0
 
     def test_two_updates_hand_value(self):
-        params = ModelParameters(weights=[np.array([[1.0]])], biases=[np.array([0.0])])
+        params = one_weight(1.0)
         ema = init_ema(params, decay=0.5)
         ema.shadow.weights[0][0, 0] = 0.0
         ema_update(ema, params)
@@ -220,7 +219,7 @@ class TestEma:
         assert ema.shadow.weights[0][0, 0] == pytest.approx(0.75)
 
     def test_geometric_convergence(self):
-        params = ModelParameters(weights=[np.array([[1.0]])], biases=[np.array([0.0])])
+        params = one_weight(1.0)
         ema = init_ema(params, decay=0.9)
         ema.shadow.weights[0][0, 0] = 0.0
         gaps = []
@@ -235,7 +234,7 @@ class TestEma:
         # the current value and the running average, so its distance to the
         # running average never exceeds the raw parameter's.
         traj = 1.0 * 0.95 ** np.arange(100)
-        params = ModelParameters(weights=[np.array([[traj[0]]])], biases=[np.array([0.0])])
+        params = one_weight(traj[0])
         ema = init_ema(params, decay=0.9)
         running_sum = 0.0
         for i, value in enumerate(traj):
@@ -271,10 +270,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(20)
         params = init_params(spec, rng)
         state = init_adam(params)
-        grads = ModelParameters(
-            weights=[rng.standard_normal(w.shape) for w in params.weights],
-            biases=[rng.standard_normal(b.shape) for b in params.biases],
-        )
+        grads = ModelParameters(params.layer_dims, rng.standard_normal(params.flat.size))
         adam_update(params, grads, state)
         ema = init_ema(params)
         ema_update(ema, params)
@@ -287,13 +283,10 @@ class TestCheckpoint:
         )
         loaded = load_checkpoint(path)
         assert loaded["spec"] == spec
-        for a, b in zip(loaded["params"].arrays(), params.arrays()):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(loaded["adam"].m.arrays(), state.m.arrays()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(loaded["params"].flat, params.flat)
+        np.testing.assert_array_equal(loaded["adam"].m.flat, state.m.flat)
         assert loaded["adam"].step == state.step
-        for a, b in zip(loaded["ema"].shadow.arrays(), ema.shadow.arrays()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(loaded["ema"].shadow.flat, ema.shadow.flat)
         assert loaded["seed_lineage"] == {"master_seed": 20, "stream": "train"}
 
     def test_double_save_identical_bytes(self, tmp_path):
@@ -305,12 +298,159 @@ class TestCheckpoint:
         save_checkpoint(p2, loaded["spec"], loaded["params"])
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("key", ["time_embed_pairs", "activation"])
+    def test_rejects_spec_with_missing_key(self, tmp_path, key):
+        spec = predictor_spec(2, hidden=(4,))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, spec, init_params(spec, np.random.default_rng(22)))
+        doc = json.loads(path.read_text())
+        del doc["spec"][key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="spec has keys"):
+            load_checkpoint(path)
+
     def test_rejects_foreign_document(self, tmp_path):
         path = tmp_path / "x.json"
         for text in ("{}", "[]", "3"):
             path.write_text(text)
             with pytest.raises(ValueError):
                 load_checkpoint(path)
+
+
+def layer_arrays(params):
+    """Separate copies of the per-layer arrays in checkpoint order w0, b0, w1, b1, ..."""
+    return [a.copy() for pair in zip(params.weights, params.biases) for a in pair]
+
+
+def reference_adam_step(ps, gs, ms, vs, state):
+    """Adam over separate per-layer arrays, the layout before the flat vector."""
+    b1, b2 = state.beta1, state.beta2
+    c1 = 1.0 - b1**state.step
+    c2 = 1.0 - b2**state.step
+    for p, g, m, v in zip(ps, gs, ms, vs):
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g**2
+        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps_hat)
+
+
+def reference_ema_step(shadows, ps, decay):
+    for s, p in zip(shadows, ps):
+        s *= decay
+        s += (1.0 - decay) * p
+
+
+def assert_views_of_flat(params):
+    views = [a for pair in zip(params.weights, params.biases) for a in pair]
+    assert sum(a.size for a in views) == params.flat.size
+    np.testing.assert_array_equal(np.concatenate([a.ravel() for a in views]), params.flat)
+    for a in views:
+        assert np.shares_memory(a, params.flat)
+    params.biases[-1][0] += 1.0  # written through the view, seen in the vector
+    assert params.flat[-params.biases[-1].size] == params.biases[-1][0]
+    params.biases[-1][0] -= 1.0
+
+
+class TestFlatLayout:
+    SPEC = MlpSpec(input_dim=5, output_dim=3, hidden=(7, 4), time_embed_pairs=0)
+
+    def test_updates_match_per_layer_reference(self):
+        rng = np.random.default_rng(30)
+        params = init_params(self.SPEC, rng)
+        state = init_adam(params, learning_rate=1e-2)
+        ema = init_ema(params, decay=0.9)
+        ref_p = layer_arrays(params)
+        ref_m = [np.zeros_like(a) for a in ref_p]
+        ref_v = [np.zeros_like(a) for a in ref_p]
+        ref_s = layer_arrays(ema.shadow)
+        for _ in range(200):
+            size = params.flat.size
+            grads = ModelParameters(
+                params.layer_dims, rng.standard_normal(size) * 10.0 ** rng.uniform(-4, 4, size)
+            )
+            adam_update(params, grads, state)
+            ema_update(ema, params)
+            reference_adam_step(ref_p, layer_arrays(grads), ref_m, ref_v, state)
+            reference_ema_step(ref_s, ref_p, ema.decay)
+            for flat, ref in ((params, ref_p), (state.m, ref_m), (state.v, ref_v), (ema.shadow, ref_s)):
+                np.testing.assert_array_equal(flat.flat, np.concatenate([a.ravel() for a in ref]))
+
+    def test_views_share_the_vector(self, tmp_path):
+        params = init_params(self.SPEC, np.random.default_rng(31))
+        assert_views_of_flat(params)
+        assert_views_of_flat(params.copy())
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, self.SPEC, params, adam=init_adam(params), ema=init_ema(params))
+        loaded = load_checkpoint(path)
+        for p in (loaded["params"], loaded["adam"].m, loaded["adam"].v, loaded["ema"].shadow):
+            assert_views_of_flat(p)
+
+    def test_copy_is_independent(self):
+        params = init_params(self.SPEC, np.random.default_rng(32))
+        dup = params.copy()
+        dup.weights[0][0, 0] += 1.0
+        assert not np.shares_memory(dup.flat, params.flat)
+        assert dup.flat[0] == params.flat[0] + 1.0
+
+    def test_rejects_wrong_vector_size(self):
+        with pytest.raises(ValueError):
+            ModelParameters([(2, 3)], np.zeros(8))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    input_dim=st.integers(1, 4),
+    output_dim=st.integers(1, 3),
+    hidden=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_save_load_save_is_byte_identical(input_dim, output_dim, hidden, seed):
+    spec = MlpSpec(input_dim=input_dim, output_dim=output_dim, hidden=tuple(hidden), time_embed_pairs=0)
+    rng = np.random.default_rng(seed)
+    params = init_params(spec, rng)
+    size = params.flat.size
+    params.flat[:] = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
+    state = init_adam(params)
+    adam_update(params, ModelParameters(params.layer_dims, rng.standard_normal(size)), state)
+    ema = init_ema(params, decay=0.5)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
+        save_checkpoint(first, spec, params, adam=state, ema=ema, meta={"seed": seed})
+        loaded = load_checkpoint(first)
+        save_checkpoint(
+            second, loaded["spec"], loaded["params"], adam=loaded["adam"], ema=loaded["ema"],
+            meta=loaded["meta"],
+        )
+        assert first.read_bytes() == second.read_bytes()
+
+
+class TestCheckpointArraysMatchSpec:
+    @pytest.mark.parametrize("where", ["params", "adam.m", "adam.v", "ema.shadow"])
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda entries: entries[2].update(shape=[3, 4]),  # w1 is 4 x 3
+            lambda entries: entries.pop(3),  # b1
+            lambda entries: entries.append(dict(entries[2], name="w9")),
+            lambda entries: entries[1]["data"].pop(),  # b0
+            lambda entries: entries[3].update(name="w1"),  # b1 renamed
+        ],
+        ids=["reshaped", "missing", "extra", "short-data", "duplicate"],
+    )
+    def test_rejects_arrays_off_spec(self, tmp_path, where, damage):
+        spec = MlpSpec(input_dim=2, output_dim=2, hidden=(4, 3), time_embed_pairs=0)
+        params = init_params(spec, np.random.default_rng(33))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, spec, params, adam=init_adam(params), ema=init_ema(params))
+        doc = json.loads(path.read_text())
+        block = doc
+        for key in where.split("."):
+            block = block[key]
+        damage(block)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^{where} "):
+            load_checkpoint(path)
 
 
 class TestSpecValidation:
@@ -325,4 +465,4 @@ class TestSpecValidation:
     def test_parameter_count(self):
         spec = MlpSpec(input_dim=3, output_dim=2, hidden=(4,), time_embed_pairs=0)
         params = init_params(spec, np.random.default_rng(0))
-        assert params.count() == 3 * 4 + 4 + 4 * 2 + 2
+        assert params.flat.size == 3 * 4 + 4 + 4 * 2 + 2

@@ -87,8 +87,7 @@ class TestTrainingStep:
         assert losses[0] == losses[1] == losses[2]
         base = results[TrainingStrategy.VANILLA][1]
         for s in (TrainingStrategy.INPUT_ONLY, TrainingStrategy.JOINT):
-            for a, b in zip(results[s][1].arrays(), base.arrays()):
-                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(results[s][1].flat, base.flat)
 
     def test_joint_at_t1_is_deterministic_discriminative(self):
         # at t = 1 the state is exactly y and the target exactly x_star
@@ -132,8 +131,7 @@ class TestTrainPredictor:
         cfg = TrainConfig(epochs=0)
         params = train_predictor(task, spec, cfg, named_stream(3, "predictor"))
         reference = init_params(spec, named_stream(3, "predictor"))
-        for a, b in zip(params.arrays(), reference.arrays()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(params.flat, reference.flat)
 
     def test_learns_scalar_posterior_mean(self):
         # quick version of the acceptance criterion: modest budget, loose gate
@@ -181,10 +179,8 @@ class TestTrain:
                 sampler=SamplerConfig(n_steps=5),
             )
             runs.append((params, ema, log))
-        for a, b in zip(runs[0][0].arrays(), runs[1][0].arrays()):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(runs[0][1].shadow.arrays(), runs[1][1].shadow.arrays()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(runs[0][0].flat, runs[1][0].flat)
+        np.testing.assert_array_equal(runs[0][1].shadow.flat, runs[1][1].shadow.flat)
         assert [r["val_mse"] for r in runs[0][2]] == [r["val_mse"] for r in runs[1][2]]
 
     def test_patience_zero_stops_at_first_non_improvement(self):
@@ -217,7 +213,7 @@ class TestTrain:
             task, spec, cfg, SCH, None, named_stream(11, "train"),
             sampler=SamplerConfig(n_steps=5),
         )
-        assert all(np.all(np.isfinite(a)) for a in params.arrays())
+        assert np.isfinite(params.flat).all()
 
     def test_m2_trains_and_validates_with_predictor_endpoints(self):
         task, spec, cfg = self.small_setup(conditioning=ConditioningStrategy.M2)
