@@ -1,7 +1,7 @@
 """Variance-exploding Gaussian bridge diffusion on synthetic inverse problems."""
 
 from .bridge import perturbation_weight
-from .metrics import EvalReport, energy_distance, mse, perception_distance, si_sdr
+from .metrics import EvalReport, ReferenceSet, energy_distance, mse, perception_distance, si_sdr
 from .model import (
     AdamState,
     EmaState,

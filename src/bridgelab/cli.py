@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .metrics import EvalReport, moment_w2, mse, perception_distance, prediction_errors, si_sdr
+from .metrics import EvalReport, ReferenceSet, moment_w2, mse, perception_distance, prediction_errors, si_sdr
 from .model import (
     ModelParameters,
     apply_mlp,
@@ -35,6 +35,7 @@ from .model import (
     load_checkpoint,
     predictor_spec,
     save_checkpoint,
+    write_text_atomic,
 )
 from .sampler import sample_trajectory_batch
 from .seeding import named_stream
@@ -75,8 +76,7 @@ def write_csv(path: Path, schema: str, columns: list[str], rows: list[list]) -> 
     lines = [f"# generated: {datetime.now(timezone.utc).isoformat()}"]
     lines.append(",".join([schema, *columns]))
     lines.extend(",".join(["row", *[_fmt(v) for v in row]]) for row in rows)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def csv_body(path: Path) -> str:
@@ -205,8 +205,11 @@ def _predictor_fn_for(ckpt: dict, ckpt_path: Path, cfg: ExperimentConfig):
             f"{conditioning.value} needs the predictor checkpoint, missing: {pred_path}"
         )
     pred = _read_checkpoint(pred_path)
-    if pred["spec"].output_dim != cfg.task.dim:
-        raise CheckpointMismatchError(f"predictor {pred_path} does not match the task dimension")
+    expected = predictor_spec(cfg.task.dim, cfg.model_hidden)
+    if pred["spec"] != expected:
+        raise CheckpointMismatchError(
+            f"predictor {pred_path} was trained with {pred['spec']}, config expects {expected}"
+        )
     return lambda ys: apply_mlp(pred["params"], ys)
 
 
@@ -245,7 +248,7 @@ def evaluate_bridge(
     ckpt: dict,
     xs: np.ndarray,
     ys: np.ndarray,
-    reference: np.ndarray,
+    reference: np.ndarray | ReferenceSet,
     eval_seed: int,
     n_steps: int | None = None,
     predictor_fn=None,
@@ -267,7 +270,7 @@ def evaluate_checkpoint_file(
     path: Path,
     xs: np.ndarray,
     ys: np.ndarray,
-    reference: np.ndarray,
+    reference: np.ndarray | ReferenceSet,
     eval_seed: int,
     n_steps: int | None = None,
 ) -> tuple[str, EvalReport]:
@@ -336,10 +339,14 @@ def cmd_sweep_steps(
     steps = _parse_steps(steps_arg)
     eval_seed = seed_override if seed_override is not None else cfg.seeds[0]
     xs, ys, reference = make_eval_set(cfg, eval_seed)
+    reference = ReferenceSet(reference)
     rows = []
     for path in checkpoints:
+        ckpt = _load_bridge(Path(path), cfg)
+        predictor_fn = _predictor_fn_for(ckpt, Path(path), cfg)
+        method = ckpt["meta"]["method"]
         for n in steps:
-            method, report = evaluate_checkpoint_file(cfg, Path(path), xs, ys, reference, eval_seed, n_steps=n)
+            report = evaluate_bridge(cfg, ckpt, xs, ys, reference, eval_seed, n, predictor_fn)
             print(f"[sweep] {method} steps={n} mse={report.mse:.5f} w2={report.w2:.5f}")
             rows.append([method, n, report.mse, report.si_sdr_db, report.w2, report.energy_distance])
     out_path = out / "sweep_steps.csv"
@@ -358,6 +365,7 @@ def cmd_exposure_bias(
     out = _resolve_out(cfg, out_override)
     eval_seed = seed_override if seed_override is not None else cfg.seeds[0]
     xs, ys, reference = make_eval_set(cfg, eval_seed)
+    reference = ReferenceSet(reference)
     rows = []
     for path in checkpoints:
         ckpt = _load_bridge(Path(path), cfg)
@@ -397,6 +405,7 @@ def _run_grid(
     seeds = _resolve_seeds(cfg, seed_override)
     eval_seed = seeds[0]
     xs, ys, reference = make_eval_set(cfg, eval_seed)
+    reference = ReferenceSet(reference)
     rows = []
     for seed in seeds:
         seed_dir = out / f"seed_{seed}"

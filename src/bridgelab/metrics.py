@@ -11,6 +11,7 @@ its moment-matched Gaussian; the energy distance can).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,15 +76,19 @@ def _mean_pairwise_distance(a: np.ndarray, b: np.ndarray, block: int = 512) -> f
     """Mean Euclidean distance over all (i, j) pairs.
 
     Scalar samples use the exact sorted O((n+m) log n) evaluation; higher
-    dimensions fall back to chunked pairwise blocks to bound memory.
+    dimensions fall back to chunked pairwise blocks to bound memory.  The
+    block size fixes the summation order, so it must not change.
     """
     if a.shape[1] == 1:
         return _mean_abs_difference_sorted(a.ravel(), b.ravel())
+    b_norms = np.sum(b**2, axis=1)
     total = 0.0
     for start in range(0, a.shape[0], block):
         chunk = a[start : start + block]
-        d2 = np.sum(chunk**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :] - 2.0 * chunk @ b.T
-        total += np.sqrt(np.maximum(d2, 0.0)).sum()
+        d2 = np.sum(chunk**2, axis=1)[:, None] + b_norms
+        d2 -= 2.0 * chunk @ b.T
+        np.maximum(d2, 0.0, out=d2)
+        total += np.sqrt(d2, out=d2).sum()
     return total / (a.shape[0] * b.shape[0])
 
 
@@ -99,31 +104,64 @@ def _mean_abs_difference_sorted(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(below + above)) / (n * b.size)
 
 
-def energy_distance(outputs: np.ndarray, reference: np.ndarray) -> float:
-    """V-statistic energy distance 2 E||X-Y|| - E||X-X'|| - E||Y-Y'||."""
-    a = np.atleast_2d(np.asarray(outputs, dtype=float))
-    b = np.atleast_2d(np.asarray(reference, dtype=float))
-    return (
-        2.0 * _mean_pairwise_distance(a, b)
-        - _mean_pairwise_distance(a, a)
-        - _mean_pairwise_distance(b, b)
-    )
+class ReferenceSet:
+    """Clean reference samples whose own statistics are computed once.
+
+    Every evaluation row compares a new output set with the same reference,
+    so the reference's moments and its energy-distance self-term E||Y-Y'||
+    are cached on first use instead of being recomputed per row.  The
+    samples are a read-only copy, so the cached values cannot go stale.
+    """
+
+    def __init__(self, samples: np.ndarray):
+        self.samples = np.atleast_2d(np.array(samples, dtype=float))
+        self.samples.setflags(write=False)
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        return self.samples.mean(axis=0)
+
+    @cached_property
+    def cov(self) -> np.ndarray:
+        return np.cov(self.samples, rowvar=False, ddof=0)
+
+    @cached_property
+    def spread(self) -> float:
+        """E||Y - Y'|| over all ordered pairs of reference rows."""
+        return _mean_pairwise_distance(self.samples, self.samples)
 
 
-def moment_w2(outputs: np.ndarray, reference: np.ndarray) -> float:
-    """W2 between the Gaussians moment-matched to two sample sets."""
+def _as_reference(reference: np.ndarray | ReferenceSet) -> ReferenceSet:
+    return reference if isinstance(reference, ReferenceSet) else ReferenceSet(reference)
+
+
+def _output_samples(outputs: np.ndarray, ref: ReferenceSet) -> np.ndarray:
     a = np.atleast_2d(np.asarray(outputs, dtype=float))
-    b = np.atleast_2d(np.asarray(reference, dtype=float))
-    if a.shape[0] == 0 or b.shape[0] == 0:
+    if a.shape[0] == 0 or ref.samples.shape[0] == 0:
         raise ValueError("sample sets must be nonempty")
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    return gaussian_w2(a.mean(axis=0), np.cov(a, rowvar=False, ddof=0), b.mean(axis=0), np.cov(b, rowvar=False, ddof=0))
+    if a.shape[1] != ref.samples.shape[1]:
+        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {ref.samples.shape[1]}")
+    return a
 
 
-def perception_distance(outputs: np.ndarray, reference: np.ndarray) -> tuple[float, float]:
+def energy_distance(outputs: np.ndarray, reference: np.ndarray | ReferenceSet) -> float:
+    """V-statistic energy distance 2 E||X-Y|| - E||X-X'|| - E||Y-Y'||."""
+    ref = _as_reference(reference)
+    a = _output_samples(outputs, ref)
+    return 2.0 * _mean_pairwise_distance(a, ref.samples) - _mean_pairwise_distance(a, a) - ref.spread
+
+
+def moment_w2(outputs: np.ndarray, reference: np.ndarray | ReferenceSet) -> float:
+    """W2 between the Gaussians moment-matched to two sample sets."""
+    ref = _as_reference(reference)
+    a = _output_samples(outputs, ref)
+    return gaussian_w2(a.mean(axis=0), np.cov(a, rowvar=False, ddof=0), ref.mean, ref.cov)
+
+
+def perception_distance(outputs: np.ndarray, reference: np.ndarray | ReferenceSet) -> tuple[float, float]:
     """(Gaussian-moment W2, energy distance) between two sample sets."""
-    return moment_w2(outputs, reference), energy_distance(outputs, reference)
+    ref = _as_reference(reference)
+    return moment_w2(outputs, ref), energy_distance(outputs, ref)
 
 
 def mse(estimate: np.ndarray, reference: np.ndarray) -> float:

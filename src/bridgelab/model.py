@@ -13,7 +13,9 @@ exactly, so save/load is bit-exact.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, fields
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +113,14 @@ def init_params(spec: MlpSpec, rng: np.random.Generator) -> ModelParameters:
     return params
 
 
+@cache
+def _time_frequencies(pairs: int) -> np.ndarray:
+    """The `pairs` geometrically spaced embedding frequencies, read-only."""
+    freqs = np.geomspace(TIME_FREQ_MIN, TIME_FREQ_MAX, pairs)
+    freqs.setflags(write=False)
+    return freqs
+
+
 def time_embedding(t, pairs: int = DEFAULT_TIME_EMBED_PAIRS) -> np.ndarray:
     """Sine/cosine features of t at `pairs` geometrically spaced frequencies.
 
@@ -120,8 +130,7 @@ def time_embedding(t, pairs: int = DEFAULT_TIME_EMBED_PAIRS) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if pairs == 0:
         return np.zeros(t.shape + (0,))
-    freqs = np.geomspace(TIME_FREQ_MIN, TIME_FREQ_MAX, pairs)
-    ang = t[..., None] * freqs
+    ang = t[..., None] * _time_frequencies(pairs)
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
 
 
@@ -306,6 +315,23 @@ def _params_from_list(entries: list[dict], spec: MlpSpec, where: str) -> ModelPa
     return params
 
 
+def write_text_atomic(path: Path, text: str) -> None:
+    """Write `text` to `path` through a sibling temp file and `os.replace`.
+
+    Readers see either the old file or the complete new one; when the write
+    or the replace fails the old file is left as it was and the temp file
+    is removed.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(
     path: str | Path,
     spec: MlpSpec,
@@ -328,9 +354,7 @@ def save_checkpoint(
         doc["adam"] = {**vars(adam), "m": _params_to_list(adam.m), "v": _params_to_list(adam.v)}
     if ema is not None:
         doc["ema"] = {**vars(ema), "shadow": _params_to_list(ema.shadow)}
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1, sort_keys=True))
+    write_text_atomic(Path(path), json.dumps(doc, indent=1, sort_keys=True))
 
 
 def load_checkpoint(path: str | Path) -> dict:

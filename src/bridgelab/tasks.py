@@ -49,7 +49,10 @@ class LinearGaussianTask:
 
     def __post_init__(self):
         for name in ("mu0", "Sigma0", "A", "Sigma_n"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            # read-only copies, so the factors built below cannot go stale
+            value = np.array(getattr(self, name), dtype=float)
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
         d, m = self.dim, self.measurement_dim
         if self.Sigma0.shape != (d, d):
             raise ValueError(f"Sigma0 must be {d}x{d}, got {self.Sigma0.shape}")
@@ -61,6 +64,11 @@ class LinearGaussianTask:
             cov = getattr(self, name)
             if np.linalg.eigvalsh((cov + cov.T) / 2).min() <= 0:
                 raise ValueError(f"{name} must be positive definite")
+        gram = self.A @ self.Sigma0 @ self.A.T + self.Sigma_n
+        object.__setattr__(self, "_chol", np.linalg.cholesky(self.Sigma0))
+        object.__setattr__(self, "_chol_n", np.linalg.cholesky(self.Sigma_n))
+        object.__setattr__(self, "_gain", self.Sigma0 @ self.A.T @ np.linalg.inv(gram))
+        object.__setattr__(self, "_A_mu0", self.A @ self.mu0)
 
     @property
     def dim(self) -> int:
@@ -74,23 +82,18 @@ class LinearGaussianTask:
         """n i.i.d. prior draws, shape (n, d)."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        chol = np.linalg.cholesky(self.Sigma0)
-        return self.mu0 + rng.standard_normal((n, self.dim)) @ chol.T
+        return self.mu0 + rng.standard_normal((n, self.dim)) @ self._chol.T
 
     def sample_pairs(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Vectorised batch of pairs: (xs, ys, x_stars), each (n, d)."""
         xs = self.clean_sampler(n, rng)
-        chol_n = np.linalg.cholesky(self.Sigma_n)
-        ys = xs @ self.A.T + rng.standard_normal((n, self.measurement_dim)) @ chol_n.T
+        ys = xs @ self.A.T + rng.standard_normal((n, self.measurement_dim)) @ self._chol_n.T
         return xs, ys, self.posterior_mean(ys)
 
     def posterior_mean(self, y: np.ndarray) -> np.ndarray:
         """E[x | y]; accepts one measurement (m,) or a batch (n, m)."""
-        y = np.asarray(y, dtype=float)
-        gram = self.A @ self.Sigma0 @ self.A.T + self.Sigma_n
-        gain = self.Sigma0 @ self.A.T @ np.linalg.inv(gram)
-        resid = y - self.A @ self.mu0
-        return self.mu0 + resid @ gain.T
+        resid = np.asarray(y, dtype=float) - self._A_mu0
+        return self.mu0 + resid @ self._gain.T
 
 
 @dataclass(frozen=True)

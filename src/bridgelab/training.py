@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .bridge import bridge_marginal, perturb
-from .metrics import perception_distance
+from .metrics import ReferenceSet, perception_distance
 from .model import (
     EmaState,
     MlpSpec,
@@ -224,7 +224,7 @@ def train(
 
     # fixed validation set and perception reference
     val_xs, val_ys, _ = task.sample_pairs(config.validation_size, rng)
-    reference = task.clean_sampler(VAL_REFERENCE_SIZE, rng)
+    reference = ReferenceSet(task.clean_sampler(VAL_REFERENCE_SIZE, rng))
 
     best_mse = np.inf
     best_mse_params = ema.shadow.copy()

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from bridgelab import cli
 from bridgelab.config import load_config
 from bridgelab.metrics import prediction_errors
-from bridgelab.model import load_checkpoint
+from bridgelab.model import ModelParameters, load_checkpoint, predictor_spec, save_checkpoint
 from bridgelab.seeding import named_stream
 
 TINY = {
@@ -45,6 +46,33 @@ def array_entry(entries, name):
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def m2_run(tmp_path_factory):
+    """(config, seed dir) of a trained M2 bridge, whose evaluation loads the sibling predictor."""
+    root = tmp_path_factory.mktemp("m2")
+    config = root / "config.json"
+    doc = json.loads(json.dumps(TINY))
+    doc["train"]["conditioning"] = "M2"
+    config.write_text(json.dumps(doc))
+    cli.cmd_train(str(config), str(root / "run"))
+    return config, root / "run" / "seed_3"
+
+
+def widen_predictor_input(doc):
+    """A self-consistent predictor that reads two measurement coordinates."""
+    doc["spec"]["input_dim"] = 2
+    w0 = array_entry(doc["params"], "w0")
+    w0.update(shape=[2, w0["shape"][1]], data=w0["data"] * 2)
+
+
+def drop_predictor_layer(doc):
+    """A self-consistent predictor with one hidden layer fewer than the config."""
+    doc["spec"]["hidden"] = doc["spec"]["hidden"][:1]
+    doc["params"] = [e for e in doc["params"] if e["name"] not in ("w1", "b1")]
+    for e in doc["params"]:
+        e["name"] = e["name"].replace("2", "1")
 
 
 class TestTrainCommand:
@@ -135,6 +163,25 @@ class TestSweepCommand:
         ])
         assert code == cli.EXIT_CHECKPOINT
 
+    def test_loads_each_checkpoint_once(self, m2_run, tmp_path, monkeypatch):
+        config, seed_dir = m2_run
+        loaded = []
+        load = cli.load_checkpoint
+        monkeypatch.setattr(cli, "load_checkpoint", lambda path: loaded.append(path.name) or load(path))
+        ckpt = seed_dir / "model_M2.json"
+        csv_path = cli.cmd_sweep_steps(str(config), [str(ckpt)], "1,2,5", str(tmp_path))
+        assert loaded == ["model_M2.json", "predictor.json"]
+
+        # each row is what a disk-level evaluation against the raw reference array gives
+        cfg = load_config(config)
+        xs, ys, reference = cli.make_eval_set(cfg, 3)
+        rows = [line.split(",") for line in csv_path.read_text().splitlines()[2:]]
+        assert [r[2] for r in rows] == ["1", "2", "5"]
+        for row in rows:
+            method, report = cli.evaluate_checkpoint_file(cfg, ckpt, xs, ys, reference, 3, n_steps=int(row[2]))
+            assert row[1] == method == "M2"
+            assert [float(v) for v in row[3:]] == [report.mse, report.si_sdr_db, report.w2, report.energy_distance]
+
     def test_bad_steps_argument(self, tiny_config, tmp_path):
         out = tmp_path / "run"
         cli.cmd_train(str(tiny_config), str(out))
@@ -147,18 +194,8 @@ class TestSweepCommand:
 
 
 class TestCheckpointValidation:
-    @pytest.fixture(scope="class")
-    def trained(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("ckpt")
-        config = root / "config.json"
-        doc = json.loads(json.dumps(TINY))
-        doc["train"]["conditioning"] = "M2"  # evaluation loads the sibling predictor
-        config.write_text(json.dumps(doc))
-        cli.cmd_train(str(config), str(root / "run"))
-        return config, root / "run" / "seed_3"
-
-    def damaged_copy(self, trained, tmp_path, damage, name):
-        config, seed_dir = trained
+    def damaged_copy(self, m2_run, tmp_path, damage, name):
+        config, seed_dir = m2_run
         run = tmp_path / "damaged"
         run.mkdir()
         for f in ("predictor.json", "model_M2.json"):
@@ -182,14 +219,17 @@ class TestCheckpointValidation:
             ("model_M2.json", lambda d: d["params"].append(dict(array_entry(d["params"], "w2"), name="w3"))),
             ("model_M2.json", lambda d: array_entry(d["ema"]["shadow"], "b0")["data"].pop()),
             ("predictor.json", lambda d: d["params"].remove(array_entry(d["params"], "w0"))),
+            ("predictor.json", widen_predictor_input),
+            ("predictor.json", drop_predictor_layer),
         ],
         ids=[
             "no-conditioning", "no-method", "bad-conditioning", "nan-bridge", "inf-predictor",
             "w1-reshaped", "b2-missing", "extra-w3", "ema-b0-short", "predictor-no-w0",
+            "predictor-wide-input", "predictor-other-hidden",
         ],
     )
-    def test_bad_checkpoint_exit(self, trained, tmp_path, capsys, command, name, damage):
-        config, ckpt = self.damaged_copy(trained, tmp_path, damage, name)
+    def test_bad_checkpoint_exit(self, m2_run, tmp_path, capsys, command, name, damage):
+        config, ckpt = self.damaged_copy(m2_run, tmp_path, damage, name)
         code = cli.main([command, "--config", str(config), "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_CHECKPOINT
         err = capsys.readouterr().err
@@ -285,6 +325,34 @@ class TestDumpDataset:
         row = lines[2].split(",")[1:]
         x, y, x_star = map(float, row)
         assert x_star == pytest.approx(float(cfg.task.posterior_mean(np.array([y]))[0]), rel=1e-12)
+
+
+class TestAtomicWrites:
+    WRITERS = {
+        "checkpoint": lambda path: save_checkpoint(path, predictor_spec(1, (2,)), ModelParameters([(1, 2), (2, 1)])),
+        "csv": lambda path: cli.write_csv(path, "t.v1", ["a"], [[1.5]]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_failed_replace_keeps_old_file(self, kind, tmp_path, monkeypatch):
+        path = tmp_path / "target"
+        path.write_bytes(b"old contents\n")
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            self.WRITERS[kind](path)
+        assert path.read_bytes() == b"old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["target"]
+
+    @pytest.mark.parametrize("kind", sorted(WRITERS))
+    def test_success_leaves_only_the_target(self, kind, tmp_path):
+        path = tmp_path / "sub" / "target"
+        for _ in range(2):
+            self.WRITERS[kind](path)
+        assert [p.name for p in path.parent.iterdir()] == ["target"]
 
 
 class TestCsvDeterminism:

@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from bridgelab import metrics
 from bridgelab.metrics import (
+    ReferenceSet,
     energy_distance,
     gaussian_w2,
     moment_w2,
@@ -215,6 +217,74 @@ class TestEnergyDistance:
             - np.mean(np.abs(b[:, None, 0] - b[None, :, 0]))
         )
         assert energy_distance(a, b) == pytest.approx(direct, abs=1e-12)
+
+
+def expanded_square_mean_distance(a, b, block=512):
+    """The pairwise kernel as first written: one expanded-square expression per block."""
+    total = 0.0
+    for start in range(0, a.shape[0], block):
+        chunk = a[start : start + block]
+        d2 = np.sum(chunk**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :] - 2.0 * chunk @ b.T
+        total += np.sqrt(np.maximum(d2, 0.0)).sum()
+    return total / (a.shape[0] * b.shape[0])
+
+
+class TestReferenceSet:
+    @pytest.fixture(scope="class")
+    def prepared(self):
+        reference = MixtureTask(dim=4).clean_sampler(2048, np.random.default_rng(30))
+        return reference, ReferenceSet(reference)
+
+    @pytest.mark.parametrize("dim,rows", [(1, 512), (4, 1), (4, 511), (4, 512), (4, 513), (4, 1025)])
+    def test_prepared_equals_raw_bitwise(self, dim, rows):
+        rng = np.random.default_rng(31 + rows)
+        task = MixtureTask(dim=dim)
+        reference = task.clean_sampler(2048, rng)
+        outputs = 0.8 * task.clean_sampler(rows, rng)
+        prepared = ReferenceSet(reference)
+        for _ in range(2):  # the second pass reads the cached statistics
+            assert energy_distance(outputs, prepared) == energy_distance(outputs, reference)
+            assert moment_w2(outputs, prepared) == moment_w2(outputs, reference)
+            assert perception_distance(outputs, prepared) == perception_distance(outputs, reference)
+
+    @pytest.mark.parametrize("rows", [1, 511, 512, 513, 1025, 2048])
+    def test_in_place_kernel_equals_expanded_square(self, prepared, rows):
+        reference, _ = prepared
+        outputs = np.random.default_rng(32).standard_normal((rows, 4))
+        assert metrics._mean_pairwise_distance(outputs, reference) == expanded_square_mean_distance(
+            outputs, reference
+        )
+
+    def test_self_term_computed_once(self, prepared, monkeypatch):
+        reference, _ = prepared
+        calls = []
+        kernel = metrics._mean_pairwise_distance
+
+        def counting(a, b):
+            calls.append((a.shape[0], b.shape[0]))
+            return kernel(a, b)
+
+        monkeypatch.setattr(metrics, "_mean_pairwise_distance", counting)
+        ref = ReferenceSet(reference)
+        outputs = np.random.default_rng(33).standard_normal((512, 4))
+        for _ in range(3):
+            perception_distance(outputs, ref)
+        assert calls.count((2048, 2048)) == 1
+        assert len(calls) == 1 + 3 * 2  # the spread once, then cross and output self-term per call
+
+    def test_samples_are_a_read_only_copy(self, prepared):
+        reference, _ = prepared
+        ref = ReferenceSet(reference)
+        with pytest.raises(ValueError):
+            ref.samples[0, 0] = 1.0
+        assert reference.flags.writeable and ref.samples is not reference
+
+    def test_dimension_mismatch_on_both_paths(self):
+        ref = ReferenceSet(np.zeros((8, 3)))
+        for outputs in (np.zeros((5, 1)), np.zeros((5, 2))):
+            for fn in (energy_distance, moment_w2, perception_distance):
+                with pytest.raises(ValueError):
+                    fn(outputs, ref)
 
 
 class TestPerStepErrors:

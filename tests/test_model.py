@@ -25,6 +25,7 @@ from bridgelab.model import (
     load_checkpoint,
     loss_and_gradients,
     predictor_spec,
+    _time_frequencies,
     save_checkpoint,
     time_embedding,
 )
@@ -254,6 +255,16 @@ class TestTimeEmbedding:
 
     def test_zero_pairs(self):
         assert time_embedding(np.array([0.5]), pairs=0).shape == (1, 0)
+
+    @pytest.mark.parametrize("pairs", [1, 4, 8])
+    def test_cached_frequencies_match_geomspace(self, pairs):
+        ts = np.random.default_rng(22).uniform(0.0, 1.0, 16)
+        ang = ts[:, None] * np.geomspace(1.0, 1000.0, pairs)
+        expected = np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
+        for _ in range(2):
+            np.testing.assert_array_equal(time_embedding(ts, pairs), expected)
+        with pytest.raises(ValueError):
+            _time_frequencies(pairs)[0] = 2.0
 
     def test_assemble_width_check(self):
         spec = bridge_model_spec(2, hidden=(4,), time_embed_pairs=8)

@@ -142,6 +142,34 @@ class TestSamplers:
         assert mse_post < mse_prior
 
 
+class TestLinearGaussianFactors:
+    def test_prepared_factors_match_fresh_computation(self):
+        rng = np.random.default_rng(40)
+        root0, root_n = rng.standard_normal((3, 3)), rng.standard_normal((2, 2))
+        mu0, A = rng.standard_normal(3), rng.standard_normal((2, 3))
+        Sigma0, Sigma_n = root0 @ root0.T + np.eye(3), root_n @ root_n.T + 0.5 * np.eye(2)
+        task = LinearGaussianTask(mu0=mu0, Sigma0=Sigma0, A=A, Sigma_n=Sigma_n)
+        xs, ys, x_stars = task.sample_pairs(16, np.random.default_rng(41))
+
+        # the factors as computed per call before they were prepared once
+        draw = np.random.default_rng(41)
+        ref_xs = mu0 + draw.standard_normal((16, 3)) @ np.linalg.cholesky(Sigma0).T
+        ref_ys = ref_xs @ A.T + draw.standard_normal((16, 2)) @ np.linalg.cholesky(Sigma_n).T
+        gain = Sigma0 @ A.T @ np.linalg.inv(A @ Sigma0 @ A.T + Sigma_n)
+        np.testing.assert_array_equal(xs, ref_xs)
+        np.testing.assert_array_equal(ys, ref_ys)
+        np.testing.assert_array_equal(x_stars, mu0 + (ref_ys - A @ mu0) @ gain.T)
+
+    def test_inputs_are_read_only_copies(self):
+        Sigma0 = np.eye(2)
+        task = LinearGaussianTask(mu0=np.zeros(2), Sigma0=Sigma0, A=np.eye(2), Sigma_n=np.eye(2))
+        for name in ("mu0", "Sigma0", "A", "Sigma_n"):
+            with pytest.raises(ValueError):
+                getattr(task, name)[0] = 5.0
+        Sigma0[0, 0] = 9.0  # the caller's array stays writable and does not reach the task
+        assert task.Sigma0[0, 0] == 1.0
+
+
 class TestValidation:
     def test_mixture_weights_must_normalise(self):
         with pytest.raises(ValueError):
