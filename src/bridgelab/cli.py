@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -59,7 +61,7 @@ EVAL_REFERENCE = 2048
 DATASET_DUMP_ROWS = 1000
 
 class CheckpointMismatchError(RuntimeError):
-    """Checkpoint does not match the configured task/model."""
+    """Checkpoint does not match the configured task/model, or its samples are not finite."""
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +222,26 @@ def make_eval_set(cfg: ExperimentConfig, eval_seed: int) -> tuple[np.ndarray, np
     return xs, ys, reference
 
 
+@contextmanager
+def _overflow_unreported():
+    """Drop numpy's overflow and invalid-value warnings; the callers reject the
+    non-finite values they leave with one message instead.
+
+    A warnings filter rather than np.errstate: inside a non-default errstate
+    every ufunc call costs more, measurable over a 512-row evaluation.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r"(overflow|invalid value) encountered", RuntimeWarning)
+        yield
+
+
+def _require_finite(where: str, **values) -> None:
+    """Reject non-finite evaluation values before any CSV is written."""
+    bad = [name for name, value in values.items() if not np.isfinite(value).all()]
+    if bad:
+        raise CheckpointMismatchError(f"{where}: non-finite {', '.join(bad)}")
+
+
 def sample_bridge(
     cfg: ExperimentConfig,
     ckpt: dict,
@@ -234,12 +256,17 @@ def sample_bridge(
     compared at equal step counts see identical noise.
     """
     conditioning = ConditioningStrategy(ckpt["meta"]["conditioning"])
-    starts, conditions = inference_endpoints(conditioning, ys, predictor_fn)
     sampler_cfg = cfg.sampler if n_steps is None else replace(cfg.sampler, n_steps=n_steps)
     rng = named_stream(eval_seed, "sample", index=sampler_cfg.n_steps)
-    times, _, preds = sample_trajectory_batch(
-        make_bridge_predictor(ckpt["params"], ckpt["spec"]), starts, conditions, sampler_cfg, cfg.schedule, rng
-    )
+    with _overflow_unreported():
+        try:
+            starts, conditions = inference_endpoints(conditioning, ys, predictor_fn)
+            predictor = make_bridge_predictor(ckpt["params"], ckpt["spec"])
+            times, _, preds = sample_trajectory_batch(predictor, starts, conditions, sampler_cfg, cfg.schedule, rng)
+        except ValueError as exc:  # e.g. forward's non-finite network input part-way through
+            raise CheckpointMismatchError(
+                f"{ckpt['meta']['method']} at {sampler_cfg.n_steps} steps: sampling failed: {exc}"
+            ) from exc
     return times, preds
 
 
@@ -256,13 +283,19 @@ def evaluate_bridge(
     """Evaluate one bridge checkpoint on the fixed evaluation set."""
     _, preds = sample_bridge(cfg, ckpt, ys, eval_seed, n_steps, predictor_fn)
     finals = preds[-1]
-    w2, energy = perception_distance(finals, reference)
-    return EvalReport(
-        mse=mse(finals, xs),
-        si_sdr_db=float(np.mean([si_sdr(f, x) for f, x in zip(finals, xs)])),
-        w2=w2,
-        energy_distance=energy,
+    with _overflow_unreported():
+        w2, energy = perception_distance(finals, reference)
+        report = EvalReport(
+            mse=mse(finals, xs),
+            si_sdr_db=float(np.mean([si_sdr(f, x) for f, x in zip(finals, xs)])),
+            w2=w2,
+            energy_distance=energy,
+        )
+    _require_finite(
+        f"{ckpt['meta']['method']} at {len(preds)} steps",
+        mse=report.mse, w2=report.w2, energy_distance=report.energy_distance,
     )
+    return report
 
 
 def evaluate_checkpoint_file(
@@ -372,10 +405,13 @@ def cmd_exposure_bias(
         predictor_fn = _predictor_fn_for(ckpt, Path(path), cfg)
         times, preds = sample_bridge(cfg, ckpt, ys, eval_seed, predictor_fn=predictor_fn)
         method = ckpt["meta"]["method"]
-        errors = prediction_errors(preds, xs)
-        for i, pred in enumerate(preds):
-            # W2 alone: the energy distance is not part of this table
-            rows.append([method, i + 1, float(times[i]), float(errors[i]), mse(pred, xs), moment_w2(pred, reference)])
+        with _overflow_unreported():
+            errors = prediction_errors(preds, xs)
+            for i, pred in enumerate(preds):
+                # W2 alone: the energy distance is not part of this table
+                err, step_mse, w2 = float(errors[i]), mse(pred, xs), moment_w2(pred, reference)
+                _require_finite(f"{method} exposure step {i + 1}", pred_err=err, mse=step_mse, w2=w2)
+                rows.append([method, i + 1, float(times[i]), err, step_mse, w2])
         print(f"[exposure] {method}: final pred_err={rows[-1][3]:.5f}")
     out_path = out / "exposure_bias.csv"
     write_csv(out_path, "exposure.v1", ["method", "step", "t", "pred_err", "mse", "w2"], rows)

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .model import DEFAULT_HIDDEN, DEFAULT_TIME_EMBED_PAIRS
+from .model import DEFAULT_HIDDEN, DEFAULT_TIME_EMBED_PAIRS, bridge_model_spec
 from .sampler import SamplerConfig, SamplerKind
 from .schedule import NoiseSchedule
 from .tasks import LinearGaussianTask, MixtureTask, Task
@@ -158,9 +158,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raise ConfigError(f"{name} must be a nonempty list of integers")
         for value in values:
             _integer(value, f"each entry of {name}")
+    if min(seeds) < 0:
+        raise ConfigError(f"seeds must be non-negative, got {seeds}")
+    if not isinstance(doc["out_dir"], str):
+        raise ConfigError(f"out_dir must be a string, got {doc['out_dir']!r}")
 
     try:
-        return ExperimentConfig(
+        cfg = ExperimentConfig(
             task=_parse_task(doc["task"]),
             schedule=_parse_schedule(doc.get("schedule", {})),
             model_hidden=tuple(hidden),
@@ -172,6 +176,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
             out_dir=doc["out_dir"],
             seeds=tuple(seeds),
         )
+        bridge_model_spec(cfg.task.dim, cfg.model_hidden, cfg.time_embed_pairs)  # the networks must build
+        return cfg
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:

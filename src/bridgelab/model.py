@@ -153,8 +153,11 @@ def _activations(params: ModelParameters, u: np.ndarray) -> list[np.ndarray]:
     acts = [u]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = acts[-1] @ w + b
-        acts.append(np.tanh(h) if i < last else h)
+        h = acts[-1] @ w
+        h += b
+        if i < last:
+            np.tanh(h, out=h)
+        acts.append(h)
     return acts
 
 
@@ -201,7 +204,8 @@ def loss_and_gradients(
 
     diff = out - targets
     with np.errstate(over="ignore"):  # overflow becomes inf, caught below
-        loss = float(np.mean(diff**2))
+        # the sum and division that np.mean performs, without its dispatch
+        loss = float(np.add.reduce(np.square(diff), axis=None) / diff.size)
     if not np.isfinite(loss):
         raise FloatingPointError("non-finite loss")
 
@@ -213,7 +217,7 @@ def loss_and_gradients(
         g.sum(axis=0, out=grads.biases[i])
         if i > 0:
             g = g @ params.weights[i].T
-            g = g * (1.0 - acts[i] ** 2)  # tanh'(z) = 1 - tanh(z)^2
+            g *= 1.0 - acts[i] ** 2  # tanh'(z) = 1 - tanh(z)^2
     return loss, grads
 
 

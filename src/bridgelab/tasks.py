@@ -12,6 +12,15 @@ Two task families:
   means; for the default symmetric two-mode mixture it sits between the
   modes, which is exactly the "regression to the mean" behaviour the
   experiments probe.
+
+Both families draw through the same three methods.  `clean_sampler(n, rng)`
+gives n prior draws; `sample_measurements(n, rng)` gives (xs, ys), the
+draws and their measurements; `sample_pairs(n, rng)` adds the analytic
+posterior means (xs, ys, x_stars) and consumes the stream exactly as
+`sample_measurements` does.  The training loops draw with
+`sample_measurements`, because they take x_star from the predictor (or ask
+`posterior_mean` in oracle mode); evaluation sets and dataset dumps use
+`sample_pairs`.
 """
 
 from __future__ import annotations
@@ -84,10 +93,15 @@ class LinearGaussianTask:
             raise ValueError("n must be >= 1")
         return self.mu0 + rng.standard_normal((n, self.dim)) @ self._chol.T
 
-    def sample_pairs(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorised batch of pairs: (xs, ys, x_stars), each (n, d)."""
+    def sample_measurements(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """(xs, ys): n prior draws, shape (n, d), and their measurements, shape (n, m)."""
         xs = self.clean_sampler(n, rng)
         ys = xs @ self.A.T + rng.standard_normal((n, self.measurement_dim)) @ self._chol_n.T
+        return xs, ys
+
+    def sample_pairs(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(xs, ys, x_stars): sample_measurements plus the posterior means of ys."""
+        xs, ys = self.sample_measurements(n, rng)
         return xs, ys, self.posterior_mean(ys)
 
     def posterior_mean(self, y: np.ndarray) -> np.ndarray:
@@ -114,6 +128,13 @@ class MixtureTask:
         w = np.asarray(self.weights, dtype=float)
         if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights must be positive and sum to 1")
+        # the CDF that Generator.choice(p=weights) builds on every call, built once
+        cdf = np.cumsum(w)
+        cdf /= cdf[-1]
+        centers = np.asarray(self.centers, dtype=float)
+        for name, value in (("_cdf", cdf), ("_centers", centers)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def measurement_dim(self) -> int:
@@ -121,21 +142,32 @@ class MixtureTask:
 
     def prior_variance(self) -> float:
         """Per-coordinate variance: s2 + sum w_i c_i^2 - (sum w_i c_i)^2."""
-        c = np.asarray(self.centers)
+        c = self._centers
         w = np.asarray(self.weights)
         mean = float(w @ c)
         return self.s2 + float(w @ c**2) - mean**2
 
     def clean_sampler(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """n i.i.d. prior draws, shape (n, dim).
+
+        Components are drawn as `rng.choice(len(centers), p=weights)` draws
+        them: one uniform per entry, located in the weights' CDF.  Draws and
+        generator state match `rng.choice` exactly.
+        """
         if n < 1:
             raise ValueError("n must be >= 1")
-        c = np.asarray(self.centers)
-        comp = rng.choice(len(c), size=(n, self.dim), p=np.asarray(self.weights))
-        return c[comp] + np.sqrt(self.s2) * rng.standard_normal((n, self.dim))
+        comp = self._cdf.searchsorted(rng.random((n, self.dim)), side="right")
+        return self._centers[comp] + np.sqrt(self.s2) * rng.standard_normal((n, self.dim))
 
-    def sample_pairs(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def sample_measurements(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """(xs, ys): n prior draws and their noisy measurements, each (n, dim)."""
         xs = self.clean_sampler(n, rng)
         ys = xs + np.sqrt(self.noise_var) * rng.standard_normal((n, self.dim))
+        return xs, ys
+
+    def sample_pairs(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(xs, ys, x_stars): sample_measurements plus the posterior means of ys."""
+        xs, ys = self.sample_measurements(n, rng)
         return xs, ys, self.posterior_mean(ys)
 
     def posterior_mean(self, y: np.ndarray) -> np.ndarray:
@@ -146,7 +178,7 @@ class MixtureTask:
         (c_i noise_var + y s2) / (s2 + noise_var).
         """
         y = np.asarray(y, dtype=float)
-        c = np.asarray(self.centers)
+        c = self._centers
         w = np.asarray(self.weights)
         total_var = self.s2 + self.noise_var
         # log densities per component, stabilised before exponentiating

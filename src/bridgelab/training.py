@@ -152,7 +152,7 @@ def train_predictor(
     adam = init_adam(params)
     for _ in range(config.epochs):
         for _ in range(config.steps_per_epoch):
-            xs, ys, _ = task.sample_pairs(config.batch_size, rng)
+            xs, ys = task.sample_measurements(config.batch_size, rng)
             try:
                 _, grads = loss_and_gradients(params, ys, xs)
             except FloatingPointError as exc:
@@ -223,7 +223,7 @@ def train(
         return task.posterior_mean(ys)
 
     # fixed validation set and perception reference
-    val_xs, val_ys, _ = task.sample_pairs(config.validation_size, rng)
+    val_xs, val_ys = task.sample_measurements(config.validation_size, rng)
     reference = ReferenceSet(task.clean_sampler(VAL_REFERENCE_SIZE, rng))
 
     best_mse = np.inf
@@ -238,8 +238,8 @@ def train(
     for epoch in range(config.epochs):
         loss_sum = 0.0
         for step in range(config.steps_per_epoch):
-            xs, ys, analytic = task.sample_pairs(config.batch_size, rng)
-            x_stars = apply_mlp(predictor_params, ys) if predictor_params is not None else analytic
+            xs, ys = task.sample_measurements(config.batch_size, rng)
+            x_stars = x_star_fn(ys)
             endpoints = x_stars if conditioning.bridge_endpoint == "x_star" else ys
             conditions = x_stars if conditioning.condition == "x_star" else ys
             ts = rng.uniform(schedule.t_eps, 1.0, size=config.batch_size)

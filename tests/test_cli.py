@@ -75,6 +75,23 @@ def drop_predictor_layer(doc):
         e["name"] = e["name"].replace("2", "1")
 
 
+def scale_array(name, factor):
+    """Damage that multiplies one named parameter array: finite weights with non-finite outputs."""
+
+    def damage(doc):
+        entry = array_entry(doc["params"], name)
+        entry["data"] = [v * factor for v in entry["data"]]
+
+    return damage
+
+
+def saturate_head(doc):
+    """Output layer weights and biases at 1e308, so outputs overflow part-way through sampling."""
+    for name in ("w2", "b2"):
+        entry = array_entry(doc["params"], name)
+        entry["data"] = [1e308] * len(entry["data"])
+
+
 class TestTrainCommand:
     def test_writes_checkpoints_and_log(self, tiny_config, tmp_path):
         out = tmp_path / "run"
@@ -221,19 +238,25 @@ class TestCheckpointValidation:
             ("predictor.json", lambda d: d["params"].remove(array_entry(d["params"], "w0"))),
             ("predictor.json", widen_predictor_input),
             ("predictor.json", drop_predictor_layer),
+            ("model_M2.json", scale_array("w2", 1e300)),
+            ("model_M2.json", saturate_head),
+            ("predictor.json", saturate_head),
         ],
         ids=[
             "no-conditioning", "no-method", "bad-conditioning", "nan-bridge", "inf-predictor",
             "w1-reshaped", "b2-missing", "extra-w3", "ema-b0-short", "predictor-no-w0",
-            "predictor-wide-input", "predictor-other-hidden",
+            "predictor-wide-input", "predictor-other-hidden", "w2-overflow", "head-saturated",
+            "predictor-head-saturated",
         ],
     )
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second line on stderr
     def test_bad_checkpoint_exit(self, m2_run, tmp_path, capsys, command, name, damage):
         config, ckpt = self.damaged_copy(m2_run, tmp_path, damage, name)
         code = cli.main([command, "--config", str(config), "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_CHECKPOINT
         err = capsys.readouterr().err
         assert err.startswith("checkpoint error: ") and err.count("\n") == 1
+        assert not list((tmp_path / "o").glob("*.csv"))
 
 
 class TestExposureCommand:

@@ -1,12 +1,20 @@
 """Config parsing: strict keys, enums, defaults."""
 
+import contextlib
+import copy
+import io
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bridgelab import cli
 from bridgelab.config import ConfigError, load_config
+from bridgelab.model import bridge_model_spec, predictor_spec
 from bridgelab.sampler import SamplerKind
+from bridgelab.seeding import named_stream
 from bridgelab.tasks import LinearGaussianTask, MixtureTask
 from bridgelab.training import ConditioningStrategy, TrainingStrategy
 
@@ -106,13 +114,18 @@ class TestLoadConfig:
             lambda d: d.update({"task": {"kind": "linear_gaussian", "prior_var": False}}),
             lambda d: d.update({"task": {"kind": "linear_gaussian", "noise_var": float("-inf")}}),
             lambda d: d["sampler"].update({"t_min": True}),
+            lambda d: d.update({"seeds": [1, -2]}),
+            lambda d: d.update({"out_dir": None}),
+            lambda d: d["model"].update({"hidden": [16, 0]}),
+            lambda d: d["model"].update({"time_embed_pairs": -1}),
         ],
         ids=[
             "epochs-float", "epochs-bool", "batch-integral-float", "patience-bool", "n_steps-float",
             "dim-bool", "embed-float", "hidden-bool", "hidden-scalar", "seed-bool", "seed-float",
             "model-scalar", "train-list", "task-list", "c-bool", "k-nan", "t_eps-string",
             "noise_var-bool", "center-bool", "weight-inf", "centers-scalar", "s2-inf", "prior_var-bool",
-            "linear-noise_var-inf", "t_min-bool",
+            "linear-noise_var-inf", "t_min-bool", "seed-negative", "out_dir-null", "hidden-zero",
+            "embed-negative",
         ],
     )
     def test_counts_and_blocks_must_be_typed(self, tmp_path, capsys, mutate):
@@ -169,3 +182,100 @@ class TestLoadConfig:
         assert cfg.sampler.n_steps == 7
         assert cfg.sampler.kind is SamplerKind.ODE
         assert cfg.sampler.t_min == 0.05
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every document either loads or exits 2 with one line
+
+SHIPPED = {p.name: json.loads(p.read_text()) for p in sorted((Path(__file__).parents[1] / "configs").glob("*.json"))}
+WORDS = sorted(
+    {"task", "schedule", "model", "train", "sampler", "out_dir", "seeds", "kind", "mixture", "linear_gaussian",
+     "centers", "weights", "s2", "noise_var", "prior_var", "dim", "c", "k", "t_eps", "hidden", "time_embed_pairs",
+     "epochs", "steps_per_epoch", "batch_size", "strategy", "conditioning", "patience", "validation_size",
+     "n_steps", "t_min", "grid", "uniform", "SDE", "ODE", "Joint", "Vanilla", "M2"}
+)
+# Numbers stay small: a document that loads is run through dump-dataset, which allocates task.dim columns.
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 8), st.floats(), st.sampled_from(WORDS), st.text(max_size=4)
+)
+NUMBERS = st.one_of(st.integers(-3, 8), st.floats(), st.booleans())
+NAMES = st.one_of(st.sampled_from(WORDS), st.text(max_size=4))
+VALUES = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(NAMES, inner, max_size=5), max_leaves=16
+)
+# documents with the config's top-level blocks, so that parsing gets past the root checks
+BLOCKS = ["task", "schedule", "model", "train", "sampler", "out_dir", "seeds"]
+DOCUMENTS = VALUES | st.dictionaries(st.sampled_from(BLOCKS), VALUES)
+FUZZ = settings(
+    max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+def main_on_document(doc, tmp_path):
+    """(exit code, stderr) of dump-dataset on a config file holding `doc`."""
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["dump-dataset", "--config", str(path), "--out", str(tmp_path / "out")])
+    return code, err.getvalue()
+
+
+def assert_loads_or_exits_2(doc, tmp_path):
+    code, err = main_on_document(doc, tmp_path)
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG), (code, err)
+    if code == cli.EXIT_CONFIG:
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        return
+    # what loads is usable by every subcommand: both networks, every seed's streams, the output path
+    cfg = load_config(tmp_path / "fuzz.json")
+    bridge_model_spec(cfg.task.dim, cfg.model_hidden, cfg.time_embed_pairs)
+    predictor_spec(cfg.task.dim, cfg.model_hidden)
+    for seed in cfg.seeds:
+        named_stream(seed, "train")
+    Path(cfg.out_dir)
+
+
+def entries(node):
+    """(container, key) of every entry at every depth below `node`."""
+    found = []
+    for key, value in list(node.items() if isinstance(node, dict) else enumerate(node)):
+        found.append((node, key))
+        if isinstance(value, (dict, list)):
+            found.extend(entries(value))
+    return found
+
+
+def mutate(doc, draw):
+    """Change one entry of `doc`: a new number, any new value, deleted, or a sibling added."""
+    parent, key = draw(st.sampled_from(entries(doc)))
+    action = draw(st.sampled_from(["number", "value", "delete", "add"]))
+    if action == "number":
+        parent[key] = draw(NUMBERS)
+    elif action == "value":
+        parent[key] = draw(VALUES)
+    elif action == "delete":
+        del parent[key]
+    elif isinstance(parent, dict):
+        parent[draw(NAMES)] = draw(VALUES)
+    else:
+        parent.insert(key, draw(VALUES))
+
+
+class TestConfigFuzz:
+    @FUZZ
+    @given(doc=DOCUMENTS)
+    def test_random_documents(self, tmp_path, doc):
+        assert_loads_or_exits_2(doc, tmp_path)
+
+    @FUZZ
+    @given(name=st.sampled_from(sorted(SHIPPED)), data=st.data())
+    def test_mutated_shipped_configs(self, tmp_path, name, data):
+        doc = copy.deepcopy(SHIPPED[name])
+        for _ in range(data.draw(st.integers(1, 2))):
+            mutate(doc, data.draw)
+        assert_loads_or_exits_2(doc, tmp_path)
+
+    def test_shipped_configs_load(self):
+        for name in SHIPPED:
+            load_config(Path(__file__).parents[1] / "configs" / name)

@@ -436,6 +436,54 @@ def test_save_load_save_is_byte_identical(input_dim, output_dim, hidden, seed):
         assert first.read_bytes() == second.read_bytes()
 
 
+def reference_pass(params, u, targets):
+    """Out-of-place forward/backward with the np.mean loss, as before the in-place pass.
+
+    Returns (output, loss, per-layer weight gradients, per-layer bias gradients).
+    """
+    acts = [u]
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = acts[-1] @ w + b
+        acts.append(np.tanh(h) if i < last else h)
+    diff = acts[-1] - targets
+    loss = float(np.mean(diff**2))
+    gw, gb = [None] * (last + 1), [None] * (last + 1)
+    g = 2.0 * diff / diff.size
+    for i in range(last, -1, -1):
+        gw[i] = acts[i].T @ g
+        gb[i] = g.sum(axis=0)
+        if i > 0:
+            g = g @ params.weights[i].T
+            g = g * (1.0 - acts[i] ** 2)
+    return acts[-1], loss, gw, gb
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    input_dim=st.integers(1, 20),
+    output_dim=st.integers(1, 4),
+    hidden=st.lists(st.integers(1, 70), min_size=1, max_size=3),
+    batch=st.integers(1, 40),
+    log_scale=st.floats(-2.0, 1.5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_in_place_pass_matches_out_of_place_reference(input_dim, output_dim, hidden, batch, log_scale, seed):
+    spec = MlpSpec(input_dim=input_dim, output_dim=output_dim, hidden=tuple(hidden), time_embed_pairs=0)
+    rng = np.random.default_rng(seed)
+    params = init_params(spec, rng)
+    params.flat *= 10.0**log_scale  # from near-linear to saturated tanh layers
+    u = rng.standard_normal((batch, input_dim))
+    targets = rng.standard_normal((batch, output_dim))
+    out, loss, gw, gb = reference_pass(params, u, targets)
+    got_loss, grads = loss_and_gradients(params, u, targets)
+    np.testing.assert_array_equal(apply_mlp(params, u), out)
+    assert got_loss == loss
+    for i in range(len(gw)):
+        np.testing.assert_array_equal(grads.weights[i], gw[i])
+        np.testing.assert_array_equal(grads.biases[i], gb[i])
+
+
 class TestCheckpointArraysMatchSpec:
     @pytest.mark.parametrize("where", ["params", "adam.m", "adam.v", "ema.shadow"])
     @pytest.mark.parametrize(

@@ -170,6 +170,36 @@ class TestLinearGaussianFactors:
         assert task.Sigma0[0, 0] == 1.0
 
 
+class TestMixtureDraws:
+    @pytest.mark.parametrize(
+        "weights", [(0.5, 0.5), (0.2, 0.3, 0.5), (0.9, 0.1), (0.1, 0.2, 0.3, 0.4), (1 / 3, 1 / 3, 1 / 3), (1.0,)]
+    )
+    @pytest.mark.parametrize("n,dim", [(1, 1), (16, 4), (513, 3)])
+    def test_cdf_draws_match_generator_choice(self, weights, n, dim):
+        """Components from the prebuilt CDF equal rng.choice(p=weights), generator state included."""
+        centers = tuple(np.linspace(-2.0, 2.0, len(weights)))
+        task = MixtureTask(centers=centers, weights=weights, s2=0.04, dim=dim)
+        seed = 1000 * n + 10 * dim + len(weights)
+        got, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            xs = task.clean_sampler(n, got)
+            # the per-call expression the prebuilt CDF replaces
+            comp = ref.choice(len(centers), size=(n, dim), p=np.asarray(weights))
+            expected = np.asarray(centers)[comp] + np.sqrt(task.s2) * ref.standard_normal((n, dim))
+            np.testing.assert_array_equal(xs, expected)
+            assert got.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("task", [MixtureTask(dim=3), LinearGaussianTask.identity(2, noise_var=0.5)])
+    def test_pairs_are_measurements_plus_posterior_means(self, task):
+        got, ref = np.random.default_rng(50), np.random.default_rng(50)
+        xs, ys = task.sample_measurements(32, got)
+        ref_xs, ref_ys, ref_stars = task.sample_pairs(32, ref)
+        np.testing.assert_array_equal(xs, ref_xs)
+        np.testing.assert_array_equal(ys, ref_ys)
+        np.testing.assert_array_equal(task.posterior_mean(ys), ref_stars)
+        assert got.bit_generator.state == ref.bit_generator.state
+
+
 class TestValidation:
     def test_mixture_weights_must_normalise(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from bridgelab.sampler import SamplerConfig
 from bridgelab.schedule import NoiseSchedule
 from bridgelab.seeding import named_stream
 from bridgelab.tasks import LinearGaussianTask, MixtureTask
+from bridgelab import training
 from bridgelab.training import (
     ConditioningStrategy,
     DivergenceError,
@@ -214,6 +215,44 @@ class TestTrain:
             sampler=SamplerConfig(n_steps=5),
         )
         assert np.isfinite(params.flat).all()
+
+    @pytest.mark.parametrize("conditioning", [ConditioningStrategy.M1, ConditioningStrategy.M4])
+    def test_predictor_mode_never_computes_posterior_means(self, monkeypatch, conditioning):
+        task, spec, cfg = self.small_setup(strategy=TrainingStrategy.JOINT, conditioning=conditioning, epochs=2)
+        calls = []
+        original = MixtureTask.posterior_mean
+        monkeypatch.setattr(MixtureTask, "posterior_mean", lambda self, y: calls.append(1) or original(self, y))
+        pspec = predictor_spec(1, hidden=(8,))
+        pp = train_predictor(task, pspec, TrainConfig(epochs=1, steps_per_epoch=20, batch_size=8),
+                             named_stream(13, "predictor"))
+        train(task, spec, cfg, SCH, pp, named_stream(13, "train"), sampler=SamplerConfig(n_steps=5))
+        assert calls == []
+
+    def test_oracle_mode_trains_on_sample_pairs_triples(self, monkeypatch):
+        """Each oracle step uses exactly the (x, y, x_star) that sample_pairs draws from the same state."""
+        task, spec, cfg = self.small_setup(strategy=TrainingStrategy.JOINT, epochs=2)
+        states, batches = [], []
+        original = MixtureTask.sample_measurements
+
+        def recording(self, n, rng):
+            states.append(rng.bit_generator.state)
+            return original(self, n, rng)
+
+        def spy(params, spec_, xs, endpoints, conditions, x_stars, *args):
+            batches.append((xs, endpoints, x_stars))
+            return batch_loss_and_grads(params, spec_, xs, endpoints, conditions, x_stars, *args)
+
+        monkeypatch.setattr(MixtureTask, "sample_measurements", recording)
+        monkeypatch.setattr(training, "batch_loss_and_grads", spy)
+        train(task, spec, cfg, SCH, None, named_stream(14, "train"), sampler=SamplerConfig(n_steps=5))
+        assert len(states) == 1 + len(batches) and len(batches) == cfg.epochs * cfg.steps_per_epoch
+        for state, (xs, ys, x_stars) in zip(states[1:], batches):  # states[0] drew the validation set
+            replay = np.random.default_rng()
+            replay.bit_generator.state = state
+            ref_xs, ref_ys, ref_stars = task.sample_pairs(cfg.batch_size, replay)
+            np.testing.assert_array_equal(xs, ref_xs)
+            np.testing.assert_array_equal(ys, ref_ys)  # M1: the endpoints are the measurements
+            np.testing.assert_array_equal(x_stars, ref_stars)
 
     def test_m2_trains_and_validates_with_predictor_endpoints(self):
         task, spec, cfg = self.small_setup(conditioning=ConditioningStrategy.M2)
