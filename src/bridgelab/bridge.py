@@ -36,16 +36,16 @@ def bridge_marginal(
     x0: np.ndarray,
     x1: np.ndarray,
     ts: np.ndarray,
-    rng: np.random.Generator,
+    noise: np.ndarray,
 ) -> np.ndarray:
     """One draw per row from the pinned-bridge marginal between rows of x0 and x1.
 
-    x0 and x1 are (B, d) and ts holds the B times.
+    x0 and x1 are (B, d), ts holds the B times and noise the (B, d) standard
+    normal draws that scale the marginal's standard deviation.
     """
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
-    if x0.shape != x1.shape:
-        raise ValueError(f"endpoint shape mismatch: {x0.shape} vs {x1.shape}")
+    if x0.shape != x1.shape or x0.shape != np.shape(noise):
+        raise ValueError(f"shape mismatch: x0 {x0.shape}, x1 {x1.shape}, noise {np.shape(noise)}")
     w0, w1, var = schedule.coefficients(np.asarray(ts, dtype=float))
-    z = rng.standard_normal(x0.shape)
-    return w0[:, None] * x0 + w1[:, None] * x1 + np.sqrt(var)[:, None] * z
+    return w0[:, None] * x0 + w1[:, None] * x1 + np.sqrt(var)[:, None] * noise

@@ -189,6 +189,8 @@ def _load_bridge(path: Path, cfg: ExperimentConfig) -> dict:
     missing = [key for key in ("method", "conditioning") if key not in meta]
     if missing:
         raise CheckpointMismatchError(f"checkpoint {path} lacks meta keys {missing}")
+    if not isinstance(meta["method"], str):
+        raise CheckpointMismatchError(f"checkpoint {path}: method must be a string, got {meta['method']!r}")
     try:
         ConditioningStrategy(meta["conditioning"])
     except ValueError as exc:
@@ -201,7 +203,10 @@ def _predictor_fn_for(ckpt: dict, ckpt_path: Path, cfg: ExperimentConfig):
     conditioning = ConditioningStrategy(ckpt["meta"]["conditioning"])
     if not conditioning.needs_predictor_at_inference:
         return None
-    pred_path = Path(ckpt_path).parent / ckpt["meta"].get("predictor_file", "predictor.json")
+    name = ckpt["meta"].get("predictor_file", "predictor.json")
+    if not isinstance(name, str):
+        raise CheckpointMismatchError(f"checkpoint {ckpt_path}: predictor_file must be a file name, got {name!r}")
+    pred_path = Path(ckpt_path).parent / name
     if not pred_path.is_file():
         raise CheckpointMismatchError(
             f"{conditioning.value} needs the predictor checkpoint, missing: {pred_path}"

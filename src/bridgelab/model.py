@@ -186,11 +186,16 @@ def forward(params: ModelParameters, spec: MlpSpec, x_t: np.ndarray, t, conditio
 
 
 def loss_and_gradients(
-    params: ModelParameters, inputs: np.ndarray, targets: np.ndarray
+    params: ModelParameters,
+    inputs: np.ndarray,
+    targets: np.ndarray,
+    out: ModelParameters | None = None,
 ) -> tuple[float, ModelParameters]:
     """Mean squared error over the batch and its exact reverse-mode gradients.
 
-    loss = mean over batch elements and coordinates of (out - target)^2.
+    loss = mean over batch elements and coordinates of (output - target)^2.
+    The gradients are written into `out` when given (a training loop passes
+    one buffer for all its steps) and into a fresh vector otherwise.
     """
     u = np.atleast_2d(np.asarray(inputs, dtype=float))
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -198,11 +203,11 @@ def loss_and_gradients(
         raise ValueError(f"batch mismatch or empty: inputs {u.shape}, targets {targets.shape}")
 
     acts = _activations(params, u)
-    out = acts[-1]
-    if out.shape != targets.shape:
-        raise ValueError(f"output shape {out.shape} != target shape {targets.shape}")
+    pred = acts[-1]
+    if pred.shape != targets.shape:
+        raise ValueError(f"output shape {pred.shape} != target shape {targets.shape}")
 
-    diff = out - targets
+    diff = pred - targets
     with np.errstate(over="ignore"):  # overflow becomes inf, caught below
         # the sum and division that np.mean performs, without its dispatch
         loss = float(np.add.reduce(np.square(diff), axis=None) / diff.size)
@@ -210,7 +215,7 @@ def loss_and_gradients(
         raise FloatingPointError("non-finite loss")
 
     # backward, each layer's gradient written into its views of one vector
-    grads = ModelParameters(params.layer_dims, np.empty_like(params.flat))
+    grads = ModelParameters(params.layer_dims, np.empty_like(params.flat)) if out is None else out
     g = 2.0 * diff / diff.size
     for i in range(len(params.weights) - 1, -1, -1):
         np.matmul(acts[i].T, g, out=grads.weights[i])
@@ -361,15 +366,25 @@ def save_checkpoint(
     write_text_atomic(Path(path), json.dumps(doc, indent=1, sort_keys=True))
 
 
+def _spec_from_dict(entry: dict) -> MlpSpec:
+    """The spec a checkpoint stores; every field present, counts as JSON integers."""
+    keys = {f.name for f in fields(MlpSpec)}
+    if set(entry) != keys:  # MlpSpec's defaults must not stand in for a missing key
+        raise ValueError(f"spec has keys {sorted(entry)}, expected {sorted(keys)}")
+    hidden = entry["hidden"]
+    counts = [entry["input_dim"], entry["output_dim"], entry["time_embed_pairs"]]
+    if not isinstance(hidden, list) or any(type(n) is not int for n in counts + hidden):
+        # a float that equals the config's count would pass the spec comparison, then fail in use
+        raise ValueError("spec counts must be integers")
+    return MlpSpec(**entry)
+
+
 def load_checkpoint(path: str | Path) -> dict:
     """Read a checkpoint back; inverse of save_checkpoint, bit-exact."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a recognised checkpoint: {path}")
-    keys = {f.name for f in fields(MlpSpec)}
-    if set(doc["spec"]) != keys:  # MlpSpec's defaults must not stand in for a missing key
-        raise ValueError(f"spec has keys {sorted(doc['spec'])}, expected {sorted(keys)}")
-    spec = MlpSpec(**doc["spec"])
+    spec = _spec_from_dict(doc["spec"])
     out = {
         "spec": spec,
         "params": _params_from_list(doc["params"], spec, "params"),
@@ -378,6 +393,9 @@ def load_checkpoint(path: str | Path) -> dict:
         "seed_lineage": doc.get("seed_lineage", {}),
         "meta": doc.get("meta", {}),
     }
+    for key in ("seed_lineage", "meta"):
+        if not isinstance(out[key], dict):
+            raise ValueError(f"{key} must be an object, got {type(out[key]).__name__}")
     if doc.get("adam"):
         a = doc["adam"]
         out["adam"] = AdamState(

@@ -72,14 +72,19 @@ def sde_step(
     x0_hat: np.ndarray,
     schedule: NoiseSchedule,
     rng: np.random.Generator,
+    *,
+    sigma2s: tuple[float, float] | None = None,
 ) -> np.ndarray:
-    """One stochastic step from time tau down to time t."""
+    """One stochastic step from time tau down to time t.
+
+    sigma2s, when given, holds (sigma2(tau), sigma2(t)) computed by the caller.
+    """
     if not t < tau:
         raise ValueError(f"step requires t < tau, got t={t}, tau={tau}")
-    s2_tau = schedule.sigma2(tau)
+    s2_tau = schedule.sigma2(tau) if sigma2s is None else sigma2s[0]
     if s2_tau == 0.0:
         raise ZeroDivisionError("sde_step from tau = 0 (sigma2 vanishes)")
-    s2_t = schedule.sigma2(t)
+    s2_t = schedule.sigma2(t) if sigma2s is None else sigma2s[1]
     r = s2_t / s2_tau
     noise_std = math.sqrt(s2_t * (1.0 - r))
     z = rng.standard_normal(np.shape(x_tau))
@@ -93,13 +98,19 @@ def ode_step(
     x0_hat: np.ndarray,
     x1: np.ndarray,
     schedule: NoiseSchedule,
+    *,
+    sigma2s: tuple[float, float] | None = None,
 ) -> np.ndarray:
-    """One deterministic step from time tau down to time t."""
+    """One deterministic step from time tau down to time t.
+
+    sigma2s, when given, holds (sigma2(tau), sigma2(t)) computed by the caller.
+    """
     if not t < tau:
         raise ValueError(f"step requires t < tau, got t={t}, tau={tau}")
     s2_1 = schedule.sigma2_1
-    s2_t = schedule.sigma2(t)
-    s2_tau = schedule.sigma2(tau)
+    if sigma2s is None:
+        sigma2s = (schedule.sigma2(tau), schedule.sigma2(t))
+    s2_tau, s2_t = sigma2s
     sb2_t = s2_1 - s2_t
     sb2_tau = s2_1 - s2_tau
 
@@ -142,6 +153,8 @@ def sample_trajectory_batch(
         raise ValueError("SDE sampling needs a random stream")
 
     times = config.times(schedule)
+    # the scalar path, as a step computes them on its own
+    sigma2s = [schedule.sigma2(float(t)) for t in times]
     states = np.empty((len(times),) + starts.shape)
     preds = np.empty((config.n_steps,) + starts.shape)
     x = starts.copy()
@@ -152,10 +165,11 @@ def sample_trajectory_batch(
         if x0_hat.shape != x.shape:
             raise ValueError(f"predictor returned shape {x0_hat.shape}, expected {x.shape}")
         preds[i] = x0_hat
+        pair = (sigma2s[i], sigma2s[i + 1])
         if config.kind is SamplerKind.SDE:
-            x = sde_step(x, float(tau), float(t), x0_hat, schedule, rng)
+            x = sde_step(x, float(tau), float(t), x0_hat, schedule, rng, sigma2s=pair)
         else:
-            x = ode_step(x, float(tau), float(t), x0_hat, starts, schedule)
+            x = ode_step(x, float(tau), float(t), x0_hat, starts, schedule, sigma2s=pair)
         states[i + 1] = x
     return times, states, preds
 

@@ -18,6 +18,17 @@ Early stopping monitors validation MSE (the distortion surrogate); the
 returned checkpoint is the EMA snapshot with the best validation perception
 proxy (Gaussian-moment W2) among distortion-sane checkpoints, falling back
 to the best-MSE snapshot when no W2 winner stays within the sanity guard.
+
+Stream order.  Everything `train` draws comes from its one generator, in
+this order: the initial weights, the validation set and perception
+reference, then per step the (x, y) batch, the times and the marginal
+noise, and after each epoch the validation sampler's noise.  Steps run in
+blocks of about BLOCK_ROWS rows that never span an epoch: a block first
+makes its steps' draws in that order, then computes x_star and the network
+inputs of all its rows at once (nothing there depends on the parameters),
+and only then updates the parameters step by step.  Every operation of the
+batched pass is row by row, so the checkpoints equal those of a loop that
+builds each step's inputs on its own.
 """
 
 from __future__ import annotations
@@ -48,6 +59,10 @@ from .sampler import SamplerConfig, sample_trajectory_batch
 from .schedule import NoiseSchedule
 
 VAL_REFERENCE_SIZE = 512
+
+# `train` draws and builds the inputs of this many rows of consecutive steps
+# (whole steps, at least one) in one pass before it updates the parameters.
+BLOCK_ROWS = 512
 
 # The returned checkpoint is the best-perception (W2) snapshot among those
 # whose validation MSE stays within this factor of the best seen; a pure-W2
@@ -112,33 +127,32 @@ class TrainConfig:
         return TrainingStrategy.JOINT if self.conditioning.regularized else self.strategy
 
 
-def batch_loss_and_grads(
-    params: ModelParameters,
+def batch_inputs(
     spec: MlpSpec,
     xs: np.ndarray,
     endpoints: np.ndarray,
     conditions: np.ndarray,
     x_stars: np.ndarray,
     ts: np.ndarray,
+    noise: np.ndarray,
     strategy: TrainingStrategy,
     schedule: NoiseSchedule,
-    rng: np.random.Generator,
-) -> tuple[float, ModelParameters]:
-    """One batch of the bridge objective under the given perturbation mode.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(network inputs, targets) of the bridge objective under a perturbation mode.
 
     Row i pairs clean xs[i] with the bridge endpoint, network condition and
-    posterior-mean estimate of the same row at time ts[i].  All three modes
-    draw the marginal noise identically, so with x_stars == xs they produce
-    bitwise-equal losses under a shared stream.
+    posterior-mean estimate of the same row at time ts[i], and noise[i] holds
+    its marginal draw.  Every operation is row by row, so the rows of many
+    steps can be built in one call.  With x_stars == xs all three modes give
+    bitwise-equal inputs and targets.
     """
     if strategy is TrainingStrategy.VANILLA:
         x0_state = targets = xs
     else:
         x0_state = perturb(xs, x_stars, ts)
         targets = xs if strategy is TrainingStrategy.INPUT_ONLY else x0_state
-    states = bridge_marginal(schedule, x0_state, endpoints, ts, rng)
-    inputs = assemble_inputs(spec, states, ts, conditions)
-    return loss_and_gradients(params, inputs, targets)
+    states = bridge_marginal(schedule, x0_state, endpoints, ts, noise)
+    return assemble_inputs(spec, states, ts, conditions), targets
 
 
 def train_predictor(
@@ -150,11 +164,12 @@ def train_predictor(
     """Fit the measurement-to-clean predictor by MSE on fresh pairs."""
     params = init_params(spec, rng)
     adam = init_adam(params)
+    grads = ModelParameters(params.layer_dims)
     for _ in range(config.epochs):
         for _ in range(config.steps_per_epoch):
             xs, ys = task.sample_measurements(config.batch_size, rng)
             try:
-                _, grads = loss_and_gradients(params, ys, xs)
+                loss_and_gradients(params, ys, xs, out=grads)
             except FloatingPointError as exc:
                 raise DivergenceError(f"predictor training diverged: {exc}") from exc
             adam_update(params, grads, adam)
@@ -235,25 +250,35 @@ def train(
     log: list[dict] = []
     t0 = time.perf_counter()
 
+    batch = config.batch_size
+    block_steps = max(1, BLOCK_ROWS // batch)
+    grads = ModelParameters(params.layer_dims)
     for epoch in range(config.epochs):
         loss_sum = 0.0
-        for step in range(config.steps_per_epoch):
-            xs, ys = task.sample_measurements(config.batch_size, rng)
+        for first in range(0, config.steps_per_epoch, block_steps):
+            n_steps = min(block_steps, config.steps_per_epoch - first)
+            # every step's draws, in the order a step-by-step loop makes them
+            draws = []
+            for _ in range(n_steps):
+                xs, ys = task.sample_measurements(batch, rng)
+                ts = rng.uniform(schedule.t_eps, 1.0, size=batch)
+                draws.append((xs, ys, ts, rng.standard_normal(xs.shape)))
+            xs, ys, ts, noise = (np.concatenate(parts) for parts in zip(*draws))
             x_stars = x_star_fn(ys)
             endpoints = x_stars if conditioning.bridge_endpoint == "x_star" else ys
             conditions = x_stars if conditioning.condition == "x_star" else ys
-            ts = rng.uniform(schedule.t_eps, 1.0, size=config.batch_size)
-            try:
-                loss, grads = batch_loss_and_grads(
-                    params, spec, xs, endpoints, conditions, x_stars, ts, strategy, schedule, rng
-                )
-            except FloatingPointError as exc:
-                raise DivergenceError(
-                    f"training diverged at epoch {epoch}, step {step}: {exc}"
-                ) from exc
-            adam_update(params, grads, adam)
-            ema_update(ema, params)
-            loss_sum += loss
+            inputs, targets = batch_inputs(spec, xs, endpoints, conditions, x_stars, ts, noise, strategy, schedule)
+            for k in range(n_steps):
+                rows = slice(k * batch, (k + 1) * batch)
+                try:
+                    loss, _ = loss_and_gradients(params, inputs[rows], targets[rows], out=grads)
+                except FloatingPointError as exc:
+                    raise DivergenceError(
+                        f"training diverged at epoch {epoch}, step {first + k}: {exc}"
+                    ) from exc
+                adam_update(params, grads, adam)
+                ema_update(ema, params)
+                loss_sum += loss
 
         # validation with the EMA weights, mirroring the strategy's inference mode
         starts, conditions = inference_endpoints(

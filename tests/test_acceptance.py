@@ -34,7 +34,7 @@ from bridgelab.training import (
     ConditioningStrategy,
     TrainConfig,
     TrainingStrategy,
-    batch_loss_and_grads,
+    batch_inputs,
     make_bridge_predictor,
     train,
     train_predictor,
@@ -210,10 +210,9 @@ class TestCriterion06StrategyCollapse:
         for strategy in TrainingStrategy:
             for t in (0.2, 0.5, 0.9):
                 # x_star = x: no simulated prediction error
-                loss, g = batch_loss_and_grads(
-                    params, spec, x, y, y, x.copy(), np.array([t]), strategy, SCH,
-                    np.random.default_rng(1000 + int(t * 10)),
-                )
+                noise = np.random.default_rng(1000 + int(t * 10)).standard_normal(x.shape)
+                inputs, targets = batch_inputs(spec, x, y, y, x.copy(), np.array([t]), noise, strategy, SCH)
+                loss, g = loss_and_gradients(params, inputs, targets)
                 losses.setdefault(t, []).append(loss)
                 grads.setdefault(t, []).append(g)
         for t, values in losses.items():

@@ -22,13 +22,13 @@ class TestSampleMarginal:
     def test_collapses_to_x1_at_t1(self):
         rng = np.random.default_rng(0)
         x0, x1 = row([3.0, -2.0]), row([0.5, 0.5])
-        out = bridge_marginal(SCH, x0, x1, times(1.0), rng)
+        out = bridge_marginal(SCH, x0, x1, times(1.0), rng.standard_normal(x0.shape))
         np.testing.assert_array_equal(out, x1)
 
     def test_collapses_to_x0_at_t0(self):
         rng = np.random.default_rng(0)
         x0, x1 = row([3.0, -2.0]), row([0.5, 0.5])
-        out = bridge_marginal(SCH, x0, x1, times(0.0), rng)
+        out = bridge_marginal(SCH, x0, x1, times(0.0), rng.standard_normal(x0.shape))
         np.testing.assert_array_equal(out, x0)
 
     def test_midpoint_moments_match_coefficients(self):
@@ -36,16 +36,18 @@ class TestSampleMarginal:
         # 1e5 rows drawn in one batch
         rng = np.random.default_rng(42)
         n = 100_000
-        draws = bridge_marginal(SCH, np.zeros((n, 1)), np.ones((n, 1)), times(0.5, n), rng)
+        draws = bridge_marginal(SCH, np.zeros((n, 1)), np.ones((n, 1)), times(0.5, n), rng.standard_normal((n, 1)))
         assert draws.mean() == pytest.approx(0.27778, abs=0.005)
         assert draws.var() == pytest.approx(0.24187, rel=0.02)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            bridge_marginal(SCH, np.zeros((1, 2)), np.zeros((1, 3)), times(0.5), rng)
+            bridge_marginal(SCH, np.zeros((1, 2)), np.zeros((1, 3)), times(0.5), rng.standard_normal((1, 2)))
         with pytest.raises(ValueError):
-            bridge_marginal(SCH, np.zeros((1, 2)), np.zeros((2, 2)), times(0.5, 2), rng)
+            bridge_marginal(SCH, np.zeros((1, 2)), np.zeros((2, 2)), times(0.5, 2), rng.standard_normal((1, 2)))
+        with pytest.raises(ValueError):
+            bridge_marginal(SCH, np.zeros((2, 2)), np.zeros((2, 2)), times(0.5, 2), rng.standard_normal((2, 1)))
 
 
 class TestPerturbationWeight:
@@ -70,8 +72,9 @@ class TestPerturbationWeight:
     def test_power_passes_through_target_and_state(self):
         x, y, x_star, ts = row(0.0), row(1.0), row(2.0), times(0.5)
         assert perturb(x, x_star, ts, power=1.0)[0, 0] == pytest.approx(1.0)
-        s_pow = bridge_marginal(SCH, perturb(x, x_star, ts, power=1.0), y, ts, np.random.default_rng(0))
-        s_sq = bridge_marginal(SCH, perturb(x, x_star, ts), y, ts, np.random.default_rng(0))
+        noise = np.random.default_rng(0).standard_normal((1, 1))
+        s_pow = bridge_marginal(SCH, perturb(x, x_star, ts, power=1.0), y, ts, noise)
+        s_sq = bridge_marginal(SCH, perturb(x, x_star, ts), y, ts, noise)
         assert s_pow[0, 0] != s_sq[0, 0]
 
 
@@ -115,14 +118,15 @@ class TestPerturbedState:
         rng = np.random.default_rng(0)
         x, y, x_star = row([0.0, 1.0]), row([0.3, -0.7]), row([0.1, 0.1])
         ts = times(1.0)
-        state = bridge_marginal(SCH, perturb(x, x_star, ts), y, ts, rng)
+        state = bridge_marginal(SCH, perturb(x, x_star, ts), y, ts, rng.standard_normal(x.shape))
         np.testing.assert_array_equal(state, y)
 
     def test_reduces_to_marginal_when_x_star_equals_x(self):
         x, y = row([0.4, -1.2]), row([1.0, 1.0])
         ts = times(0.6)
-        s1 = bridge_marginal(SCH, perturb(x, x, ts), y, ts, np.random.default_rng(7))
-        s2 = bridge_marginal(SCH, x, y, ts, np.random.default_rng(7))
+        noise = np.random.default_rng(7).standard_normal(x.shape)
+        s1 = bridge_marginal(SCH, perturb(x, x, ts), y, ts, noise)
+        s2 = bridge_marginal(SCH, x, y, ts, noise)
         np.testing.assert_array_equal(s1, s2)
 
     def test_midpoint_mean_monte_carlo(self):
@@ -130,7 +134,8 @@ class TestPerturbedState:
         n = 5000
         ts = times(0.5, n)
         rng = np.random.default_rng(3)
-        draws = bridge_marginal(SCH, perturb(np.zeros((n, 1)), np.full((n, 1), 2.0), ts), np.ones((n, 1)), ts, rng)
+        x0 = perturb(np.zeros((n, 1)), np.full((n, 1), 2.0), ts)
+        draws = bridge_marginal(SCH, x0, np.ones((n, 1)), ts, rng.standard_normal((n, 1)))
         sem = draws.std() / np.sqrt(n)
         assert sem < 0.01
         assert draws.mean() == pytest.approx(0.63889, abs=0.005)

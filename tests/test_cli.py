@@ -1,11 +1,18 @@
 """CLI subcommands: artifacts, CSV schemas, exit codes, determinism hooks."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from bridgelab import cli
 from bridgelab.config import load_config
@@ -241,12 +248,18 @@ class TestCheckpointValidation:
             ("model_M2.json", scale_array("w2", 1e300)),
             ("model_M2.json", saturate_head),
             ("predictor.json", saturate_head),
+            ("model_M2.json", lambda d: d.update(meta=[])),
+            ("model_M2.json", lambda d: d.update(meta=None)),
+            ("model_M2.json", lambda d: d["meta"].update(predictor_file=5)),
+            ("model_M2.json", lambda d: d["meta"].update(method=["M2"])),
+            ("model_M2.json", lambda d: d["spec"].update(time_embed_pairs=float(d["spec"]["time_embed_pairs"]))),
         ],
         ids=[
             "no-conditioning", "no-method", "bad-conditioning", "nan-bridge", "inf-predictor",
             "w1-reshaped", "b2-missing", "extra-w3", "ema-b0-short", "predictor-no-w0",
             "predictor-wide-input", "predictor-other-hidden", "w2-overflow", "head-saturated",
-            "predictor-head-saturated",
+            "predictor-head-saturated", "meta-list", "meta-null", "predictor-file-number", "method-list",
+            "embed-pairs-float",
         ],
     )
     @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second line on stderr
@@ -421,3 +434,111 @@ class TestEntryPoint:
     def test_seed_override(self, tiny_config, tmp_path):
         cli.main(["train", "--config", str(tiny_config), "--out", str(tmp_path / "s9"), "--seed", "9"])
         assert (tmp_path / "s9" / "seed_9" / "model_Joint.json").is_file()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every mutated checkpoint evaluates or exits 4 with one line
+
+SMOKE = Path(__file__).parents[1] / "configs" / "smoke.json"
+CHECKPOINT_WORDS = sorted(
+    {"format", "spec", "params", "adam", "ema", "seed_lineage", "meta", "name", "shape", "data", "input_dim",
+     "output_dim", "hidden", "activation", "time_embed_pairs", "tanh", "w0", "b0", "w1", "b1", "w2", "b2", "w3",
+     "role", "bridge", "predictor", "method", "strategy", "conditioning", "seed", "task_dim", "predictor_file",
+     "predictor.json", "model_Joint.json", "model_M2.json", "M1", "M2", "M5", "M9", "Joint", "shadow", "decay",
+     "m", "v", "step", "bridgelab-checkpoint.v1"}
+)
+CKPT_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 8), st.floats(), st.sampled_from(CHECKPOINT_WORDS), st.text(max_size=4)
+)
+CKPT_NAMES = st.one_of(st.sampled_from(CHECKPOINT_WORDS), st.text(max_size=4))
+CKPT_VALUES = st.recursive(
+    CKPT_SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(CKPT_NAMES, inner, max_size=4),
+    max_leaves=12,
+)
+CKPT_FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
+# (run, file): the smoke config's Joint bridge, and an M2 bridge whose evaluation reads its predictor
+FUZZ_TARGETS = [("Joint", "model_Joint.json"), ("M2", "model_M2.json"), ("M2", "predictor.json")]
+
+
+@pytest.fixture(scope="module")
+def smoke_runs(tmp_path_factory):
+    """Config path and seed directory per conditioning, trained from configs/smoke.json."""
+    root = tmp_path_factory.mktemp("smoke")
+    runs = {}
+    for label, conditioning in (("Joint", "M1"), ("M2", "M2")):
+        doc = json.loads(SMOKE.read_text())
+        doc["train"]["conditioning"] = conditioning
+        config = root / f"{label}.json"
+        config.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.cmd_train(str(config), str(root / label))
+        runs[label] = (config, root / label / f"seed_{doc['seeds'][0]}")
+    return runs
+
+
+def checkpoint_entries(node):
+    """(container, key) of every entry below `node`; of an array's values only the first."""
+    found = []
+    for key, value in list(node.items() if isinstance(node, dict) else enumerate(node)):
+        found.append((node, key))
+        if key == "data" and isinstance(value, list):
+            found.extend((value, i) for i in range(min(1, len(value))))
+        elif isinstance(value, (dict, list)):
+            found.extend(checkpoint_entries(value))
+    return found
+
+
+def mutate_checkpoint(doc, draw):
+    """Change one entry of one top-level block of `doc` (the block itself included): a new
+    number, any new value, deleted, or a sibling added.  Drawing the block first keeps the
+    small blocks (`meta`, `spec`) as likely as the parameter arrays."""
+    block = draw(st.sampled_from(sorted(doc)))
+    below = checkpoint_entries(doc[block]) if isinstance(doc[block], (dict, list)) else []
+    parent, key = draw(st.sampled_from([(doc, block), *below]))
+    action = draw(st.sampled_from(["number", "value", "delete", "add"]))
+    if action == "number":
+        parent[key] = draw(st.one_of(st.integers(-3, 8), st.floats(), st.booleans()))
+    elif action == "value":
+        parent[key] = draw(CKPT_VALUES)
+    elif action == "delete":
+        del parent[key]
+    elif isinstance(parent, dict):
+        parent[draw(CKPT_NAMES)] = draw(CKPT_VALUES)
+    else:
+        parent.insert(key, draw(CKPT_VALUES))
+
+
+class TestCheckpointFuzz:
+    @CKPT_FUZZ
+    @given(command=st.sampled_from(["sweep-steps", "exposure-bias"]), target=st.sampled_from(FUZZ_TARGETS),
+           data=st.data())
+    def test_mutated_checkpoints_evaluate_or_exit_4(self, smoke_runs, command, target, data):
+        label, name = target
+        config, seed_dir = smoke_runs[label]
+        with tempfile.TemporaryDirectory() as tmp:
+            run, out = Path(tmp) / "run", Path(tmp) / "out"
+            run.mkdir()
+            for f in seed_dir.glob("*.json"):
+                (run / f.name).write_bytes(f.read_bytes())
+            doc = json.loads((seed_dir / name).read_text())
+            for _ in range(data.draw(st.integers(1, 2))):
+                mutate_checkpoint(doc, data.draw)
+            (run / name).write_text(json.dumps(doc))
+            bridge = run / f"model_{label}.json"
+            argv = [command, "--config", str(config), "--checkpoint", str(bridge), "--out", str(out)]
+            if command == "sweep-steps":
+                argv += ["--steps", "1,3"]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)  # a numpy warning would be a second line on stderr
+                code = cli.main(argv)
+            event(f"exit {code}")
+            assert code in (cli.EXIT_OK, cli.EXIT_CHECKPOINT), (code, err.getvalue())
+            if code == cli.EXIT_CHECKPOINT:
+                assert err.getvalue().startswith("checkpoint error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+                assert not list(out.glob("*.csv"))
+            else:
+                # the rows name the method by the string the checkpoint stores
+                csv = out / ("sweep_steps.csv" if command == "sweep-steps" else "exposure_bias.csv")
+                rows = cli.csv_body(csv).splitlines()[1:]
+                assert rows and {r.split(",")[1] for r in rows} == {json.loads(bridge.read_text())["meta"]["method"]}

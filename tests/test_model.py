@@ -171,6 +171,22 @@ class TestLossAndGradients:
         with pytest.raises(FloatingPointError):
             loss_and_gradients(params, np.array([[1.0]]), np.array([[1e200]]))
 
+    def test_out_buffer_is_overwritten_and_returned(self):
+        spec = MlpSpec(input_dim=3, output_dim=2, hidden=(5, 4), time_embed_pairs=0)
+        params = init_params(spec, np.random.default_rng(16))
+        rng = np.random.default_rng(17)
+        buf = ModelParameters(params.layer_dims, np.full_like(params.flat, np.nan))
+        for _ in range(3):
+            u, t = rng.standard_normal((6, 3)), rng.standard_normal((6, 2))
+            loss, fresh = loss_and_gradients(params, u, t)
+            got_loss, got = loss_and_gradients(params, u, t, out=buf)
+            assert got is buf and got_loss == loss
+            np.testing.assert_array_equal(buf.flat, fresh.flat)
+        # without `out` every call returns its own vector
+        _, a = loss_and_gradients(params, u, t)
+        _, b = loss_and_gradients(params, u, t)
+        assert not np.shares_memory(a.flat, b.flat)
+
 
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):

@@ -185,6 +185,39 @@ class TestSampleTrajectory:
             sample_trajectory_batch(predictor, y, np.zeros((2, 2)), SamplerConfig(n_steps=2), SCH,
                                     rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("kind", list(SamplerKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize("n_steps", [1, 2, 7, 50])
+    def test_matches_per_step_reference_loop(self, monkeypatch, kind, n_steps):
+        """Bitwise the loop whose steps compute sigma2 themselves, with sigma2 computed once per grid time."""
+        rng = np.random.default_rng(40)
+        ys = rng.standard_normal((9, 2))
+        predictor = lambda s, t, c: np.tanh(0.7 * s - 0.2 * c + t)
+        config = SamplerConfig(n_steps=n_steps, kind=kind)
+        times = config.times(SCH)
+        x = ys.copy()
+        ref_rng = np.random.default_rng(41)
+        ref_states, ref_preds = [x], []
+        for i in range(n_steps):
+            tau, t = float(times[i]), float(times[i + 1])
+            x0_hat = predictor(x, tau, ys)
+            ref_preds.append(x0_hat)
+            if kind is SamplerKind.SDE:
+                x = sde_step(x, tau, t, x0_hat, SCH, ref_rng)
+            else:
+                x = ode_step(x, tau, t, x0_hat, ys, SCH)
+            ref_states.append(x)
+
+        calls = []
+        original = NoiseSchedule.sigma2
+        monkeypatch.setattr(NoiseSchedule, "sigma2", lambda self, t: calls.append(t) or original(self, t))
+        got_times, states, preds = sample_trajectory_batch(
+            predictor, ys, ys, config, SCH, rng=np.random.default_rng(41)
+        )
+        np.testing.assert_array_equal(got_times, times)
+        np.testing.assert_array_equal(states, np.stack(ref_states))
+        np.testing.assert_array_equal(preds, np.stack(ref_preds))
+        assert calls == [float(t) for t in times] and all(type(t) is float for t in calls)
+
     def test_sde_requires_rng(self):
         y = np.array([[1.0]])
         predictor = lambda s, t, c: np.zeros_like(s)

@@ -3,15 +3,22 @@
 import numpy as np
 import pytest
 
-from bridgelab.bridge import perturb
+from bridgelab.bridge import bridge_marginal, perturb
+from bridgelab.metrics import ReferenceSet, perception_distance
 from bridgelab.model import (
+    adam_update,
     apply_mlp,
+    assemble_inputs,
     bridge_model_spec,
+    ema_update,
     forward,
+    init_adam,
+    init_ema,
     init_params,
+    loss_and_gradients,
     predictor_spec,
 )
-from bridgelab.sampler import SamplerConfig
+from bridgelab.sampler import SamplerConfig, SamplerKind, sample_trajectory_batch
 from bridgelab.schedule import NoiseSchedule
 from bridgelab.seeding import named_stream
 from bridgelab.tasks import LinearGaussianTask, MixtureTask
@@ -21,8 +28,10 @@ from bridgelab.training import (
     DivergenceError,
     TrainConfig,
     TrainingStrategy,
-    batch_loss_and_grads,
+    W2_SELECTION_GUARD,
+    batch_inputs,
     inference_endpoints,
+    make_bridge_predictor,
     train,
     train_predictor,
 )
@@ -72,9 +81,11 @@ class TestVectorCoefficients:
 
 
 def one_row_step(params, spec, x, y, x_star, t, strategy, rng):
-    """The batched step on a one-row batch whose endpoint and condition are y."""
+    """Loss and gradients of a one-row batch whose endpoint and condition are y."""
     x, y, x_star = (np.array([[v]]) for v in (x, y, x_star))
-    return batch_loss_and_grads(params, spec, x, y, y, x_star, np.array([t]), strategy, SCH, rng)
+    noise = rng.standard_normal(x.shape)
+    inputs, targets = batch_inputs(spec, x, y, y, x_star, np.array([t]), noise, strategy, SCH)
+    return loss_and_gradients(params, inputs, targets)
 
 
 class TestTrainingStep:
@@ -112,8 +123,8 @@ class TestTrainingStep:
         xs = np.zeros((2, 1))
         for strategy in TrainingStrategy:
             with pytest.raises(ValueError):
-                batch_loss_and_grads(params, spec, xs, np.zeros((3, 1)), np.zeros((3, 1)), xs,
-                                     np.full(2, 0.5), strategy, SCH, np.random.default_rng(0))
+                batch_inputs(spec, xs, np.zeros((3, 1)), np.zeros((3, 1)), xs,
+                             np.full(2, 0.5), np.zeros((2, 1)), strategy, SCH)
 
     def test_non_finite_posterior_mean_raises(self):
         # a non-finite x_star reaches the perturbed state and target, and the
@@ -229,30 +240,39 @@ class TestTrain:
         assert calls == []
 
     def test_oracle_mode_trains_on_sample_pairs_triples(self, monkeypatch):
-        """Each oracle step uses exactly the (x, y, x_star) that sample_pairs draws from the same state."""
+        """Each oracle step uses exactly the (x, y, x_star) that sample_pairs draws from the same state,
+        with one block per epoch and with blocks of three steps."""
         task, spec, cfg = self.small_setup(strategy=TrainingStrategy.JOINT, epochs=2)
-        states, batches = [], []
+        states, blocks = [], []
         original = MixtureTask.sample_measurements
 
         def recording(self, n, rng):
             states.append(rng.bit_generator.state)
             return original(self, n, rng)
 
-        def spy(params, spec_, xs, endpoints, conditions, x_stars, *args):
-            batches.append((xs, endpoints, x_stars))
-            return batch_loss_and_grads(params, spec_, xs, endpoints, conditions, x_stars, *args)
+        def spy(spec_, xs, endpoints, conditions, x_stars, *args):
+            blocks.append((xs, endpoints, x_stars))
+            return batch_inputs(spec_, xs, endpoints, conditions, x_stars, *args)
 
         monkeypatch.setattr(MixtureTask, "sample_measurements", recording)
-        monkeypatch.setattr(training, "batch_loss_and_grads", spy)
-        train(task, spec, cfg, SCH, None, named_stream(14, "train"), sampler=SamplerConfig(n_steps=5))
-        assert len(states) == 1 + len(batches) and len(batches) == cfg.epochs * cfg.steps_per_epoch
-        for state, (xs, ys, x_stars) in zip(states[1:], batches):  # states[0] drew the validation set
-            replay = np.random.default_rng()
-            replay.bit_generator.state = state
-            ref_xs, ref_ys, ref_stars = task.sample_pairs(cfg.batch_size, replay)
-            np.testing.assert_array_equal(xs, ref_xs)
-            np.testing.assert_array_equal(ys, ref_ys)  # M1: the endpoints are the measurements
-            np.testing.assert_array_equal(x_stars, ref_stars)
+        monkeypatch.setattr(training, "batch_inputs", spy)
+        n_steps = cfg.epochs * cfg.steps_per_epoch
+        for block_rows in (training.BLOCK_ROWS, 3 * cfg.batch_size):
+            states.clear()
+            blocks.clear()
+            monkeypatch.setattr(training, "BLOCK_ROWS", block_rows)
+            train(task, spec, cfg, SCH, None, named_stream(14, "train"), sampler=SamplerConfig(n_steps=5))
+            block_steps = block_rows // cfg.batch_size
+            assert len(blocks) == cfg.epochs * -(-cfg.steps_per_epoch // block_steps)
+            assert len(states) == 1 + n_steps
+            xs, ys, x_stars = (np.split(np.concatenate(a), n_steps) for a in zip(*blocks))
+            for i, state in enumerate(states[1:]):  # states[0] drew the validation set
+                replay = np.random.default_rng()
+                replay.bit_generator.state = state
+                ref_xs, ref_ys, ref_stars = task.sample_pairs(cfg.batch_size, replay)
+                np.testing.assert_array_equal(xs[i], ref_xs)
+                np.testing.assert_array_equal(ys[i], ref_ys)  # M1: the endpoints are the measurements
+                np.testing.assert_array_equal(x_stars[i], ref_stars)
 
     def test_m2_trains_and_validates_with_predictor_endpoints(self):
         task, spec, cfg = self.small_setup(conditioning=ConditioningStrategy.M2)
@@ -262,3 +282,156 @@ class TestTrain:
             sampler=SamplerConfig(n_steps=5),
         )
         assert len(log) == 3
+
+
+# ---------------------------------------------------------------------------
+# block-batched draws against the step-by-step loop
+
+
+def reference_train(task, spec, config, schedule, predictor_params, rng, sampler):
+    """`train` as a step-by-step loop: each step draws and builds its own inputs.
+
+    The reference that the block-batched loop must reproduce bit for bit;
+    it draws in the documented stream order and shares no code with the
+    step loop of `train`.
+    """
+    strategy, conditioning = config.effective_strategy, config.conditioning
+    params = init_params(spec, rng)
+    adam = init_adam(params)
+    ema = init_ema(params)
+
+    def x_star_fn(ys):
+        return task.posterior_mean(ys) if predictor_params is None else apply_mlp(predictor_params, ys)
+
+    val_xs, val_ys = task.sample_measurements(config.validation_size, rng)
+    reference = ReferenceSet(task.clean_sampler(training.VAL_REFERENCE_SIZE, rng))
+    best_mse, best_mse_params = np.inf, ema.shadow.copy()
+    cand_w2 = cand_mse = np.inf
+    cand_params = None
+    stale = 0
+    log = []
+    for epoch in range(config.epochs):
+        loss_sum = 0.0
+        for step in range(config.steps_per_epoch):
+            xs, ys = task.sample_measurements(config.batch_size, rng)
+            x_stars = x_star_fn(ys)
+            endpoints = x_stars if conditioning.bridge_endpoint == "x_star" else ys
+            conditions = x_stars if conditioning.condition == "x_star" else ys
+            ts = rng.uniform(schedule.t_eps, 1.0, size=config.batch_size)
+            if strategy is TrainingStrategy.VANILLA:
+                x0_state = targets = xs
+            else:
+                x0_state = perturb(xs, x_stars, ts)
+                targets = xs if strategy is TrainingStrategy.INPUT_ONLY else x0_state
+            states = bridge_marginal(schedule, x0_state, endpoints, ts, rng.standard_normal(x0_state.shape))
+            try:
+                loss, grads = loss_and_gradients(params, assemble_inputs(spec, states, ts, conditions), targets)
+            except FloatingPointError as exc:
+                raise DivergenceError(f"training diverged at epoch {epoch}, step {step}: {exc}") from exc
+            adam_update(params, grads, adam)
+            ema_update(ema, params)
+            loss_sum += loss
+        starts, conds = inference_endpoints(
+            conditioning, val_ys, x_star_fn if conditioning.needs_predictor_at_inference else None
+        )
+        _, _, preds = sample_trajectory_batch(
+            make_bridge_predictor(ema.shadow, spec), starts, conds, sampler, schedule, rng
+        )
+        val_mse = float(np.mean((preds[-1] - val_xs) ** 2))
+        val_w2, _ = perception_distance(preds[-1], reference)
+        log.append({"epoch": epoch, "train_loss": loss_sum / config.steps_per_epoch,
+                    "val_mse": val_mse, "val_w2": val_w2, "is_ema": 1})
+        if val_mse < best_mse:
+            best_mse, best_mse_params, stale = val_mse, ema.shadow.copy(), 0
+        else:
+            stale += 1
+        cand_valid = cand_params is not None and cand_mse <= W2_SELECTION_GUARD * best_mse
+        if val_mse <= W2_SELECTION_GUARD * best_mse and (not cand_valid or val_w2 < cand_w2):
+            cand_w2, cand_mse, cand_params = val_w2, val_mse, ema.shadow.copy()
+        if stale > config.patience:
+            break
+    if cand_params is not None and cand_mse <= W2_SELECTION_GUARD * best_mse:
+        return cand_params, ema, log
+    return best_mse_params, ema, log
+
+
+TASKS = {
+    "mixture2": lambda: MixtureTask(dim=2, noise_var=0.25),
+    "linear1": LinearGaussianTask.default_scalar,
+}
+
+
+def assert_same_training(task, spec, cfg, predictor_params, seed, sampler):
+    """train and the reference loop give bitwise-equal params, EMA and log, and leave the stream alike."""
+    rng, ref_rng = named_stream(seed, "train"), named_stream(seed, "train")
+    params, ema, log = train(task, spec, cfg, SCH, predictor_params, rng, sampler=sampler)
+    ref_params, ref_ema, ref_log = reference_train(task, spec, cfg, SCH, predictor_params, ref_rng, sampler)
+    np.testing.assert_array_equal(params.flat, ref_params.flat)
+    np.testing.assert_array_equal(ema.shadow.flat, ref_ema.shadow.flat)
+    assert [{k: v for k, v in row.items() if k != "wall_time_s"} for row in log] == ref_log
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class PoisonedTask:
+    """A task whose draw number `poisoned` (from 0) returns clean values scaled by 1e300."""
+
+    def __init__(self, base, poisoned):
+        self.base, self.poisoned, self.draws = base, poisoned, 0
+        self.dim = base.dim
+
+    def sample_measurements(self, n, rng):
+        xs, ys = self.base.sample_measurements(n, rng)
+        self.draws += 1
+        return (xs * 1e300 if self.draws - 1 == self.poisoned else xs), ys
+
+    def posterior_mean(self, ys):
+        return self.base.posterior_mean(ys)
+
+    def clean_sampler(self, n, rng):
+        return self.base.clean_sampler(n, rng)
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("task_name", sorted(TASKS))
+    @pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "predictor"])
+    @pytest.mark.parametrize("conditioning", list(ConditioningStrategy), ids=lambda c: c.value)
+    @pytest.mark.parametrize("strategy", list(TrainingStrategy), ids=lambda s: s.value)
+    def test_matches_step_by_step_loop(self, task_name, oracle, conditioning, strategy):
+        task = TASKS[task_name]()
+        dim = task.dim
+        spec = bridge_model_spec(dim, hidden=(8,), time_embed_pairs=2)
+        pp = None if oracle else init_params(predictor_spec(dim, hidden=(8,)), named_stream(20, "predictor"))
+        cfg = TrainConfig(epochs=2, steps_per_epoch=70, batch_size=8, strategy=strategy,
+                          conditioning=conditioning, validation_size=16)
+        assert_same_training(task, spec, cfg, pp, 21, SamplerConfig(n_steps=4))
+
+    @pytest.mark.parametrize(
+        "steps_per_epoch,batch_size",
+        [(1, 16), (20, 16), (32, 16), (64, 16), (75, 16), (21, 24), (43, 24), (3, 700)],
+    )
+    def test_block_boundaries(self, steps_per_epoch, batch_size):
+        """Epochs below, at, and past one block (32 steps of 16 rows, 21 of 24), and a batch above it."""
+        task = TASKS["mixture2"]()
+        spec = bridge_model_spec(2, hidden=(8,), time_embed_pairs=2)
+        pp = init_params(predictor_spec(2, hidden=(8,)), named_stream(22, "predictor"))
+        cfg = TrainConfig(epochs=3, steps_per_epoch=steps_per_epoch, batch_size=batch_size,
+                          strategy=TrainingStrategy.JOINT, conditioning=ConditioningStrategy.M4,
+                          validation_size=16)
+        assert_same_training(task, spec, cfg, pp, 23, SamplerConfig(n_steps=3, kind=SamplerKind.ODE))
+
+    @pytest.mark.parametrize("poisoned_step", [0, 31, 32, 50])
+    def test_divergence_names_epoch_and_step(self, poisoned_step):
+        """A batch of overflowing clean values in epoch 1 stops both loops with the same message."""
+        cfg = TrainConfig(epochs=3, steps_per_epoch=60, batch_size=16, strategy=TrainingStrategy.VANILLA,
+                          validation_size=16)
+        spec = bridge_model_spec(2, hidden=(8,), time_embed_pairs=2)
+        messages = []
+        for loop in (train, reference_train):
+            # draw 0 is the validation set, then one draw per step
+            task = PoisonedTask(TASKS["mixture2"](), 1 + cfg.steps_per_epoch + poisoned_step)
+            with pytest.raises(DivergenceError) as info:
+                loop(task, spec, cfg, SCH, None, named_stream(24, "train"), SamplerConfig(n_steps=3))
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith(f"training diverged at epoch 1, step {poisoned_step}: ")
+
