@@ -30,15 +30,7 @@ import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .metrics import EvalReport, ReferenceSet, moment_w2, mse, perception_distance, prediction_errors, si_sdr
-from .model import (
-    ModelParameters,
-    apply_mlp,
-    bridge_model_spec,
-    load_checkpoint,
-    predictor_spec,
-    save_checkpoint,
-    write_text_atomic,
-)
+from .model import ModelParameters, apply_mlp, load_checkpoint, save_checkpoint, write_text_atomic
 from .sampler import sample_trajectory_batch
 from .seeding import named_stream
 from .training import (
@@ -97,16 +89,14 @@ def _method_label(strategy: TrainingStrategy, conditioning: ConditioningStrategy
 
 
 def train_predictor_for_seed(cfg: ExperimentConfig, seed: int, seed_dir: Path) -> tuple[ModelParameters, Path]:
-    d = cfg.task.dim
-    pspec = predictor_spec(d, cfg.model_hidden)
-    params = train_predictor(cfg.task, pspec, cfg.train, named_stream(seed, "predictor"))
+    params = train_predictor(cfg.task, cfg.predictor_spec, cfg.train, named_stream(seed, "predictor"))
     path = seed_dir / "predictor.json"
     save_checkpoint(
         path,
-        pspec,
+        cfg.predictor_spec,
         params,
         seed_lineage={"master_seed": seed, "stream": "predictor"},
-        meta={"role": "predictor", "seed": seed, "task_dim": d},
+        meta={"role": "predictor", "seed": seed, "task_dim": cfg.task.dim},
     )
     return params, path
 
@@ -120,12 +110,10 @@ def train_bridge_for_seed(
     seed_dir: Path,
     label: str | None = None,
 ) -> Path:
-    d = cfg.task.dim
-    spec = bridge_model_spec(d, cfg.model_hidden, cfg.time_embed_pairs)
     train_cfg = replace(cfg.train, strategy=strategy, conditioning=conditioning)
     params, ema, log = train(
         cfg.task,
-        spec,
+        cfg.bridge_spec,
         train_cfg,
         cfg.schedule,
         predictor_params,
@@ -136,7 +124,7 @@ def train_bridge_for_seed(
     path = seed_dir / f"model_{label}.json"
     save_checkpoint(
         path,
-        spec,
+        cfg.bridge_spec,
         params,
         ema=ema,
         seed_lineage={"master_seed": seed, "stream": "train"},
@@ -146,7 +134,7 @@ def train_bridge_for_seed(
             "strategy": strategy.value,
             "conditioning": conditioning.value,
             "seed": seed,
-            "task_dim": d,
+            "task_dim": cfg.task.dim,
             "predictor_file": "predictor.json",
         },
     )
@@ -174,14 +162,19 @@ def _read_checkpoint(path: Path) -> dict:
     return ckpt
 
 
-def _load_bridge(path: Path, cfg: ExperimentConfig) -> dict:
-    if not Path(path).is_file():
+def _load_bridge(path: Path, cfg: ExperimentConfig) -> tuple[dict, object]:
+    """(checkpoint, predictor function) of one bridge model file.
+
+    The predictor function is None unless the strategy needs the sibling
+    predictor at inference; then it is loaded and checked here as well.
+    """
+    path = Path(path)
+    if not path.is_file():
         raise CheckpointMismatchError(f"checkpoint not found: {path}")
     ckpt = _read_checkpoint(path)
-    expected = bridge_model_spec(cfg.task.dim, cfg.model_hidden, cfg.time_embed_pairs)
-    if ckpt["spec"] != expected:
+    if ckpt["spec"] != cfg.bridge_spec:
         raise CheckpointMismatchError(
-            f"checkpoint {path} was trained with {ckpt['spec']}, config expects {expected}"
+            f"checkpoint {path} was trained with {ckpt['spec']}, config expects {cfg.bridge_spec}"
         )
     meta = ckpt["meta"]
     if meta.get("role") != "bridge":
@@ -192,32 +185,25 @@ def _load_bridge(path: Path, cfg: ExperimentConfig) -> dict:
     if not isinstance(meta["method"], str):
         raise CheckpointMismatchError(f"checkpoint {path}: method must be a string, got {meta['method']!r}")
     try:
-        ConditioningStrategy(meta["conditioning"])
+        conditioning = ConditioningStrategy(meta["conditioning"])
     except ValueError as exc:
         raise CheckpointMismatchError(f"checkpoint {path}: {exc}") from exc
-    return ckpt
-
-
-def _predictor_fn_for(ckpt: dict, ckpt_path: Path, cfg: ExperimentConfig):
-    """Load the sibling predictor only when the strategy needs it at inference."""
-    conditioning = ConditioningStrategy(ckpt["meta"]["conditioning"])
     if not conditioning.needs_predictor_at_inference:
-        return None
-    name = ckpt["meta"].get("predictor_file", "predictor.json")
+        return ckpt, None
+    name = meta.get("predictor_file", "predictor.json")
     if not isinstance(name, str):
-        raise CheckpointMismatchError(f"checkpoint {ckpt_path}: predictor_file must be a file name, got {name!r}")
-    pred_path = Path(ckpt_path).parent / name
+        raise CheckpointMismatchError(f"checkpoint {path}: predictor_file must be a file name, got {name!r}")
+    pred_path = path.parent / name
     if not pred_path.is_file():
         raise CheckpointMismatchError(
             f"{conditioning.value} needs the predictor checkpoint, missing: {pred_path}"
         )
     pred = _read_checkpoint(pred_path)
-    expected = predictor_spec(cfg.task.dim, cfg.model_hidden)
-    if pred["spec"] != expected:
+    if pred["spec"] != cfg.predictor_spec:
         raise CheckpointMismatchError(
-            f"predictor {pred_path} was trained with {pred['spec']}, config expects {expected}"
+            f"predictor {pred_path} was trained with {pred['spec']}, config expects {cfg.predictor_spec}"
         )
-    return lambda ys: apply_mlp(pred["params"], ys)
+    return ckpt, lambda ys: apply_mlp(pred["params"], ys)
 
 
 def make_eval_set(cfg: ExperimentConfig, eval_seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -292,7 +278,7 @@ def evaluate_bridge(
         w2, energy = perception_distance(finals, reference)
         report = EvalReport(
             mse=mse(finals, xs),
-            si_sdr_db=float(np.mean([si_sdr(f, x) for f, x in zip(finals, xs)])),
+            si_sdr_db=float(np.mean(si_sdr(finals, xs))),
             w2=w2,
             energy_distance=energy,
         )
@@ -314,8 +300,7 @@ def evaluate_checkpoint_file(
 ) -> tuple[str, EvalReport]:
     """Disk-level evaluation: loads the bridge model and, only if the
     strategy requires it, the sibling predictor."""
-    ckpt = _load_bridge(path, cfg)
-    predictor_fn = _predictor_fn_for(ckpt, path, cfg)
+    ckpt, predictor_fn = _load_bridge(path, cfg)
     report = evaluate_bridge(cfg, ckpt, xs, ys, reference, eval_seed, n_steps, predictor_fn)
     return ckpt["meta"]["method"], report
 
@@ -324,21 +309,20 @@ def evaluate_checkpoint_file(
 # subcommands
 
 
-def _resolve_out(cfg: ExperimentConfig, out_override: str | None) -> Path:
-    out = Path(out_override) if out_override else Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _make_out_dir(cfg: ExperimentConfig) -> Path:
+    out = Path(cfg.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
-def _resolve_seeds(cfg: ExperimentConfig, seed_override: int | None) -> list[int]:
-    return [seed_override] if seed_override is not None else list(cfg.seeds)
-
-
 def cmd_train(config_path: str, out_override: str | None = None, seed_override: int | None = None) -> list[Path]:
-    cfg = load_config(config_path)
-    out = _resolve_out(cfg, out_override)
+    cfg = load_config(config_path, out_override, seed_override)
+    out = _make_out_dir(cfg)
     written = []
-    for seed in _resolve_seeds(cfg, seed_override):
+    for seed in cfg.seeds:
         seed_dir = out / f"seed_{seed}"
         print(f"[train] seed {seed}: predictor")
         predictor_params, ppath = train_predictor_for_seed(cfg, seed, seed_dir)
@@ -372,16 +356,15 @@ def cmd_sweep_steps(
     out_override: str | None = None,
     seed_override: int | None = None,
 ) -> Path:
-    cfg = load_config(config_path)
-    out = _resolve_out(cfg, out_override)
+    cfg = load_config(config_path, out_override, seed_override)
     steps = _parse_steps(steps_arg)
-    eval_seed = seed_override if seed_override is not None else cfg.seeds[0]
+    out = _make_out_dir(cfg)
+    eval_seed = cfg.seeds[0]
     xs, ys, reference = make_eval_set(cfg, eval_seed)
     reference = ReferenceSet(reference)
     rows = []
     for path in checkpoints:
-        ckpt = _load_bridge(Path(path), cfg)
-        predictor_fn = _predictor_fn_for(ckpt, Path(path), cfg)
+        ckpt, predictor_fn = _load_bridge(path, cfg)
         method = ckpt["meta"]["method"]
         for n in steps:
             report = evaluate_bridge(cfg, ckpt, xs, ys, reference, eval_seed, n, predictor_fn)
@@ -399,15 +382,14 @@ def cmd_exposure_bias(
     out_override: str | None = None,
     seed_override: int | None = None,
 ) -> Path:
-    cfg = load_config(config_path)
-    out = _resolve_out(cfg, out_override)
-    eval_seed = seed_override if seed_override is not None else cfg.seeds[0]
+    cfg = load_config(config_path, out_override, seed_override)
+    out = _make_out_dir(cfg)
+    eval_seed = cfg.seeds[0]
     xs, ys, reference = make_eval_set(cfg, eval_seed)
     reference = ReferenceSet(reference)
     rows = []
     for path in checkpoints:
-        ckpt = _load_bridge(Path(path), cfg)
-        predictor_fn = _predictor_fn_for(ckpt, Path(path), cfg)
+        ckpt, predictor_fn = _load_bridge(path, cfg)
         times, preds = sample_bridge(cfg, ckpt, ys, eval_seed, predictor_fn=predictor_fn)
         method = ckpt["meta"]["method"]
         with _overflow_unreported():
@@ -441,14 +423,13 @@ def _run_grid(
 ) -> Path:
     """Per seed: train the predictor, then train and evaluate one bridge per
     (label, strategy, conditioning) unit; write per-seed and median rows."""
-    cfg = load_config(config_path)
-    out = _resolve_out(cfg, out_override)
-    seeds = _resolve_seeds(cfg, seed_override)
-    eval_seed = seeds[0]
+    cfg = load_config(config_path, out_override, seed_override)
+    out = _make_out_dir(cfg)
+    eval_seed = cfg.seeds[0]
     xs, ys, reference = make_eval_set(cfg, eval_seed)
     reference = ReferenceSet(reference)
     rows = []
-    for seed in seeds:
+    for seed in cfg.seeds:
         seed_dir = out / f"seed_{seed}"
         print(f"[{name}] seed {seed}: predictor")
         predictor_params, _ = train_predictor_for_seed(cfg, seed, seed_dir)
@@ -479,10 +460,9 @@ def cmd_dump_dataset(
     out_override: str | None = None,
     seed_override: int | None = None,
 ) -> Path:
-    cfg = load_config(config_path)
-    out = _resolve_out(cfg, out_override)
-    seed = seed_override if seed_override is not None else cfg.seeds[0]
-    xs, ys, x_stars = cfg.task.sample_pairs(DATASET_DUMP_ROWS, named_stream(seed, "data"))
+    cfg = load_config(config_path, out_override, seed_override)
+    out = _make_out_dir(cfg)
+    xs, ys, x_stars = cfg.task.sample_pairs(DATASET_DUMP_ROWS, named_stream(cfg.seeds[0], "data"))
     d, m = xs.shape[1], ys.shape[1]
     columns = [f"x{i}" for i in range(d)] + [f"y{i}" for i in range(m)] + [f"x_star{i}" for i in range(d)]
     rows = [list(xs[i]) + list(ys[i]) + list(x_stars[i]) for i in range(len(xs))]
@@ -500,7 +480,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bridgelab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, checkpoints=False, steps=False):
+    def add_command(name, summary, run, checkpoints=False, steps=False):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="single seed (overrides config list)")
@@ -508,31 +489,27 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--checkpoint", nargs="+", required=True, help="bridge model checkpoint(s)")
         if steps:
             p.add_argument("--steps", default=None, help="comma-separated step counts")
+        p.set_defaults(run=run)
 
-    add_common(sub.add_parser("train", help="train predictor and bridge model"))
-    add_common(sub.add_parser("sweep-steps", help="metrics versus step count"), checkpoints=True, steps=True)
-    add_common(sub.add_parser("exposure-bias", help="per-step prediction errors"), checkpoints=True)
-    add_common(sub.add_parser("strategies", help="conditioning strategies M1..M5"))
-    add_common(sub.add_parser("ablation", help="perturbation strategy ablation"))
-    add_common(sub.add_parser("dump-dataset", help="write sampled pairs as CSV"))
+    add_command("train", "train predictor and bridge model", lambda a: cmd_train(a.config, a.out, a.seed))
+    add_command(
+        "sweep-steps", "metrics versus step count",
+        lambda a: cmd_sweep_steps(a.config, a.checkpoint, a.steps, a.out, a.seed), checkpoints=True, steps=True,
+    )
+    add_command(
+        "exposure-bias", "per-step prediction errors",
+        lambda a: cmd_exposure_bias(a.config, a.checkpoint, a.out, a.seed), checkpoints=True,
+    )
+    add_command("strategies", "conditioning strategies M1..M5", lambda a: cmd_strategies(a.config, a.out, a.seed))
+    add_command("ablation", "perturbation strategy ablation", lambda a: cmd_ablation(a.config, a.out, a.seed))
+    add_command("dump-dataset", "write sampled pairs as CSV", lambda a: cmd_dump_dataset(a.config, a.out, a.seed))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "train":
-            cmd_train(args.config, args.out, args.seed)
-        elif args.command == "sweep-steps":
-            cmd_sweep_steps(args.config, args.checkpoint, args.steps, args.out, args.seed)
-        elif args.command == "exposure-bias":
-            cmd_exposure_bias(args.config, args.checkpoint, args.out, args.seed)
-        elif args.command == "strategies":
-            cmd_strategies(args.config, args.out, args.seed)
-        elif args.command == "ablation":
-            cmd_ablation(args.config, args.out, args.seed)
-        elif args.command == "dump-dataset":
-            cmd_dump_dataset(args.config, args.out, args.seed)
+        args.run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

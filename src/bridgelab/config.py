@@ -1,7 +1,9 @@
 """Experiment configuration: one JSON document fully determines a run.
 
 Unknown keys anywhere in the document are errors, not warnings; silently
-ignored options are how experiments go wrong.
+ignored options are how experiments go wrong.  Each block is a table from
+key to value parser that feeds the constructor it builds, so a missing key
+takes that constructor's own default and no default is repeated here.
 """
 
 from __future__ import annotations
@@ -9,9 +11,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
-from .model import DEFAULT_HIDDEN, DEFAULT_TIME_EMBED_PAIRS, bridge_model_spec
+from .model import MlpSpec, bridge_model_spec, predictor_spec
 from .sampler import SamplerConfig, SamplerKind
 from .schedule import NoiseSchedule
 from .tasks import LinearGaussianTask, MixtureTask, Task
@@ -26,16 +29,16 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     task: Task
     schedule: NoiseSchedule
-    model_hidden: tuple[int, ...]
-    time_embed_pairs: int
+    bridge_spec: MlpSpec
+    predictor_spec: MlpSpec
     train: TrainConfig
     sampler: SamplerConfig
     out_dir: str
     seeds: tuple[int, ...]
 
 
-def _require_keys(block: dict, allowed: set[str], where: str) -> None:
-    unknown = set(block) - allowed
+def _require_keys(block: dict, allowed, where: str) -> None:
+    unknown = set(block) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
@@ -54,94 +57,111 @@ def _real(value, name: str) -> float:
     return value
 
 
+def _optional_real(value, name: str) -> float | None:
+    return None if value is None else _real(value, name)
+
+
+def _seed(value, name: str) -> int:
+    if _integer(value, name) < 0:
+        raise ConfigError(f"{name} must be non-negative, got {value}")
+    return value
+
+
+def _string(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _list_of(each):
+    """Parser of a nonempty JSON list whose entries `each` parses."""
+
+    def parse(values, name: str) -> tuple:
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"{name} must be a nonempty list, got {values!r}")
+        return tuple(each(value, f"each entry of {name}") for value in values)
+
+    return parse
+
+
+def _member(enum):
+    """Parser of an enumeration value, named by its string."""
+
+    def parse(value, name: str):
+        try:
+            return enum(value)
+        except ValueError as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
+
+    return parse
+
+
+_TASKS = {
+    "mixture": (MixtureTask, {
+        "centers": _list_of(_real), "weights": _list_of(_real), "s2": _real, "noise_var": _real, "dim": _integer,
+    }),
+    "linear_gaussian": (LinearGaussianTask.identity, {"dim": _integer, "prior_var": _real, "noise_var": _real}),
+}
+_SCHEDULE = {"c": _real, "k": _real, "t_eps": _real}
+_MODEL = {"hidden": _list_of(_integer), "time_embed_pairs": _integer}
+_TRAIN = {
+    "epochs": _integer,
+    "steps_per_epoch": _integer,
+    "batch_size": _integer,
+    "strategy": _member(TrainingStrategy),
+    "conditioning": _member(ConditioningStrategy),
+    "patience": _integer,
+    "validation_size": _integer,
+}
+_SAMPLER = {"n_steps": _integer, "kind": _member(SamplerKind), "t_min": _optional_real}
+
+
+def _build(make, table: dict, block: dict, where: str):
+    """`make` called with each key of `block` parsed by its entry in `table`."""
+    _require_keys(block, table, where)
+    return make(**{key: table[key](value, f"{where}.{key}") for key, value in block.items()})
+
+
 def _parse_task(block: dict) -> Task:
     kind = block.get("kind")
-    if kind == "mixture":
-        _require_keys(block, {"kind", "centers", "weights", "s2", "noise_var", "dim"}, "task")
-        return MixtureTask(
-            centers=tuple(_real(c, "each of task.centers") for c in block.get("centers", (-1.0, 1.0))),
-            weights=tuple(_real(w, "each of task.weights") for w in block.get("weights", (0.5, 0.5))),
-            s2=_real(block.get("s2", 0.01), "task.s2"),
-            noise_var=_real(block.get("noise_var", 0.25), "task.noise_var"),
-            dim=_integer(block.get("dim", 1), "task.dim"),
-        )
-    if kind == "linear_gaussian":
-        _require_keys(block, {"kind", "dim", "prior_var", "noise_var"}, "task")
-        return LinearGaussianTask.identity(
-            dim=_integer(block.get("dim", 1), "task.dim"),
-            prior_var=_real(block.get("prior_var", 1.0), "task.prior_var"),
-            noise_var=_real(block.get("noise_var", 1.0), "task.noise_var"),
-        )
-    raise ConfigError(f"task.kind must be 'mixture' or 'linear_gaussian', got {kind!r}")
-
-
-def _parse_schedule(block: dict) -> NoiseSchedule:
-    _require_keys(block, {"c", "k", "t_eps"}, "schedule")
-    return NoiseSchedule(
-        c=_real(block.get("c", 0.40), "schedule.c"),
-        k=_real(block.get("k", 2.6), "schedule.k"),
-        t_eps=_real(block.get("t_eps", 1e-4), "schedule.t_eps"),
-    )
-
-
-def _parse_train(block: dict) -> TrainConfig:
-    _require_keys(
-        block,
-        {
-            "epochs",
-            "steps_per_epoch",
-            "batch_size",
-            "strategy",
-            "conditioning",
-            "patience",
-            "validation_size",
-        },
-        "train",
-    )
-    try:
-        strategy = TrainingStrategy(block.get("strategy", "Vanilla"))
-        conditioning = ConditioningStrategy(block.get("conditioning", "M1"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return TrainConfig(
-        epochs=_integer(block.get("epochs", 30), "train.epochs"),
-        steps_per_epoch=_integer(block.get("steps_per_epoch", 400), "train.steps_per_epoch"),
-        batch_size=_integer(block.get("batch_size", 16), "train.batch_size"),
-        strategy=strategy,
-        conditioning=conditioning,
-        patience=_integer(block.get("patience", 20), "train.patience"),
-        validation_size=_integer(block.get("validation_size", 50), "train.validation_size"),
-    )
+    if not isinstance(kind, str) or kind not in _TASKS:
+        raise ConfigError(f"task.kind must be 'mixture' or 'linear_gaussian', got {kind!r}")
+    make, table = _TASKS[kind]
+    return _build(make, table, {key: value for key, value in block.items() if key != "kind"}, "task")
 
 
 def _parse_sampler(block: dict) -> SamplerConfig:
-    _require_keys(block, {"n_steps", "kind", "t_min", "grid"}, "sampler")
-    try:
-        kind = SamplerKind(block.get("kind", "SDE"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    t_min = block.get("t_min")
-    return SamplerConfig(
-        n_steps=_integer(block.get("n_steps", 50), "sampler.n_steps"),
-        kind=kind,
-        t_min=None if t_min is None else _real(t_min, "sampler.t_min"),
-        grid=block.get("grid", "uniform"),
-    )
+    # the time grid is always uniform; the key stays accepted because configs name it
+    if block.get("grid", "uniform") != "uniform":
+        raise ConfigError(f"sampler.grid must be 'uniform', got {block['grid']!r}")
+    return _build(SamplerConfig, _SAMPLER, {key: value for key, value in block.items() if key != "grid"}, "sampler")
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    path = Path(path)
+def _read_document(path: Path) -> dict:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting deeper than the parser's stack
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    _require_keys(
-        doc, {"task", "schedule", "model", "train", "sampler", "out_dir", "seeds"}, "config"
-    )
+    return doc
+
+
+def load_config(path: str | Path, out: str | None = None, seed: int | None = None) -> ExperimentConfig:
+    """The run settings of the document at `path`.
+
+    `out` and `seed` stand for the CLI's `--out` and `--seed`: given, they
+    replace `out_dir` and `seeds` after passing the same checks, and the
+    document's own values must still be valid.
+    """
+    doc = _read_document(Path(path))
+    _require_keys(doc, {"task", "schedule", "model", "train", "sampler", "out_dir", "seeds"}, "config")
     for block in ("task", "out_dir", "seeds"):
         if block not in doc:
             raise ConfigError(f"config is missing required key {block!r}")
@@ -149,35 +169,25 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if not isinstance(doc.get(block, {}), dict):
             raise ConfigError(f"{block} must be a JSON object")
 
-    model_block = doc.get("model", {})
-    _require_keys(model_block, {"hidden", "time_embed_pairs"}, "model")
-    seeds = doc["seeds"]
-    hidden = model_block.get("hidden", list(DEFAULT_HIDDEN))
-    for name, values in (("seeds", seeds), ("model.hidden", hidden)):
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"{name} must be a nonempty list of integers")
-        for value in values:
-            _integer(value, f"each entry of {name}")
-    if min(seeds) < 0:
-        raise ConfigError(f"seeds must be non-negative, got {seeds}")
-    if not isinstance(doc["out_dir"], str):
-        raise ConfigError(f"out_dir must be a string, got {doc['out_dir']!r}")
-
+    seeds = _list_of(_seed)(doc["seeds"], "seeds")
+    out_dir = _string(doc["out_dir"], "out_dir")
+    if seed is not None:
+        seeds = (_seed(seed, "--seed"),)
+    if out:
+        out_dir = _string(out, "--out")
     try:
-        cfg = ExperimentConfig(
-            task=_parse_task(doc["task"]),
-            schedule=_parse_schedule(doc.get("schedule", {})),
-            model_hidden=tuple(hidden),
-            time_embed_pairs=_integer(
-                model_block.get("time_embed_pairs", DEFAULT_TIME_EMBED_PAIRS), "model.time_embed_pairs"
-            ),
-            train=_parse_train(doc.get("train", {})),
+        task = _parse_task(doc["task"])
+        bridge_spec = _build(partial(bridge_model_spec, task.dim), _MODEL, doc.get("model", {}), "model")
+        return ExperimentConfig(
+            task=task,
+            schedule=_build(NoiseSchedule, _SCHEDULE, doc.get("schedule", {}), "schedule"),
+            bridge_spec=bridge_spec,
+            predictor_spec=predictor_spec(task.dim, bridge_spec.hidden),
+            train=_build(TrainConfig, _TRAIN, doc.get("train", {}), "train"),
             sampler=_parse_sampler(doc.get("sampler", {})),
-            out_dir=doc["out_dir"],
-            seeds=tuple(seeds),
+            out_dir=out_dir,
+            seeds=seeds,
         )
-        bridge_model_spec(cfg.task.dim, cfg.model_hidden, cfg.time_embed_pairs)  # the networks must build
-        return cfg
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:

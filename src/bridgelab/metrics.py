@@ -28,31 +28,34 @@ class EvalReport:
     energy_distance: float
 
 
-def si_sdr(estimate: np.ndarray, reference: np.ndarray, ceiling_db: float = SI_SDR_CEILING_DB) -> float:
-    """Scale-invariant signal-to-distortion ratio in dB.
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_i, b_i> of each row as one stacked matmul; the tests pin it bitwise to each row's `a_i @ b_i`."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
-    Projects the estimate onto the reference: s = (<e, r>/||r||^2) r,
-    e_res = estimate - s, returns 10 log10(||s||^2 / ||e_res||^2).
-    A perfect (up to scale) estimate returns the ceiling; an estimate
-    orthogonal to the reference returns -inf.
+
+def si_sdr(estimates: np.ndarray, references: np.ndarray, ceiling_db: float = SI_SDR_CEILING_DB) -> np.ndarray:
+    """Scale-invariant signal-to-distortion ratio in dB of each (n, d) row.
+
+    Projects each estimate onto its reference: s = (<e, r>/||r||^2) r,
+    e_res = estimate - s, and takes 10 log10(||s||^2 / ||e_res||^2), capped
+    at the ceiling.  A perfect (up to scale) estimate gets the ceiling; an
+    estimate orthogonal to its reference gets -inf.
     """
-    estimate = np.asarray(estimate, dtype=float)
-    reference = np.asarray(reference, dtype=float)
-    if estimate.shape != reference.shape:
-        raise ValueError(f"shape mismatch: {estimate.shape} vs {reference.shape}")
-    ref_energy = float(reference @ reference)
-    if ref_energy == 0.0:
+    estimates = np.asarray(estimates, dtype=float)
+    references = np.asarray(references, dtype=float)
+    if estimates.ndim != 2 or estimates.shape != references.shape:
+        raise ValueError(f"need equal (n, d) shapes, got {estimates.shape} vs {references.shape}")
+    ref_energy = _row_dots(references, references)
+    if np.any(ref_energy == 0.0):
         raise ValueError("reference signal is zero")
-    scale = float(estimate @ reference) / ref_energy
-    s = scale * reference
-    e = estimate - s
-    s_energy = float(s @ s)
-    e_energy = float(e @ e)
-    if s_energy == 0.0:
-        return float("-inf")
-    if e_energy == 0.0:
-        return ceiling_db
-    return min(10.0 * np.log10(s_energy / e_energy), ceiling_db)
+    s = (_row_dots(estimates, references) / ref_energy)[:, None] * references
+    e = estimates - s
+    s_energy, e_energy = _row_dots(s, s), _row_dots(e, e)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the rows masked below
+        db = np.minimum(10.0 * np.log10(s_energy / e_energy), ceiling_db)
+    db[e_energy == 0.0] = ceiling_db
+    db[s_energy == 0.0] = -np.inf
+    return db
 
 
 def gaussian_w2(mu0: np.ndarray, cov0: np.ndarray, mu1: np.ndarray, cov1: np.ndarray) -> float:

@@ -40,20 +40,17 @@ class SamplerKind(Enum):
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Step count, sampler family, and time grid of one reverse pass."""
+    """Step count, sampler family, and final time of one reverse pass on a uniform grid."""
 
     n_steps: int = 50
     kind: SamplerKind = SamplerKind.SDE
     t_min: float | None = None  # defaults to the schedule's t_eps
-    grid: str = "uniform"
 
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         if self.t_min is not None and not 0.0 < self.t_min < 1.0:
             raise ValueError(f"t_min must lie in (0, 1), got {self.t_min}")
-        if self.grid != "uniform":
-            raise ValueError(f"unknown grid {self.grid!r}")
 
     def times(self, schedule: NoiseSchedule) -> np.ndarray:
         """Descending grid from 1 to the effective t_min, n_steps + 1 points."""

@@ -38,17 +38,8 @@ class LinearGaussianTask:
     Sigma_n: np.ndarray
 
     @classmethod
-    def default_scalar(cls) -> "LinearGaussianTask":
-        """d = 1, unit prior variance, identity operator, unit noise."""
-        return cls(
-            mu0=np.zeros(1),
-            Sigma0=np.eye(1),
-            A=np.eye(1),
-            Sigma_n=np.eye(1),
-        )
-
-    @classmethod
-    def identity(cls, dim: int, prior_var: float = 1.0, noise_var: float = 1.0) -> "LinearGaussianTask":
+    def identity(cls, dim: int = 1, prior_var: float = 1.0, noise_var: float = 1.0) -> "LinearGaussianTask":
+        """Zero-mean isotropic prior, identity operator, isotropic noise."""
         return cls(
             mu0=np.zeros(dim),
             Sigma0=prior_var * np.eye(dim),

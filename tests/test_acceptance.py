@@ -224,7 +224,7 @@ class TestCriterion06StrategyCollapse:
 
 class TestCriterion07PredictorQuality:
     def test_predictor_matches_analytic_posterior_mean(self):
-        task = LinearGaussianTask.default_scalar()
+        task = LinearGaussianTask.identity()
         cfg = TrainConfig(epochs=40, steps_per_epoch=400, batch_size=16)
         params = train_predictor(task, predictor_spec(1, (64, 64)), cfg, named_stream(7, "predictor"))
         rng = np.random.default_rng(77)
@@ -283,7 +283,7 @@ def head_to_head():
                 sweeps[strategy.value][n].append(
                     (
                         float(np.mean((final - xs) ** 2)),
-                        float(np.mean([si_sdr(a, b) for a, b in zip(final, xs)])),
+                        float(np.mean(si_sdr(final, xs))),
                         w2,
                     )
                 )

@@ -212,9 +212,10 @@ class TestSweepCommand:
         code = cli.main([
             "sweep-steps", "--config", str(tiny_config),
             "--checkpoint", str(out / "seed_3" / "model_Joint.json"),
-            "--steps", "five", "--out", str(out),
+            "--steps", "five", "--out", str(tmp_path / "sweep"),
         ])
         assert code == cli.EXIT_CONFIG
+        assert not (tmp_path / "sweep").exists()
 
 
 class TestCheckpointValidation:
@@ -434,6 +435,39 @@ class TestEntryPoint:
     def test_seed_override(self, tiny_config, tmp_path):
         cli.main(["train", "--config", str(tiny_config), "--out", str(tmp_path / "s9"), "--seed", "9"])
         assert (tmp_path / "s9" / "seed_9" / "model_Joint.json").is_file()
+
+
+# extra arguments each subcommand needs; the checkpoint is never reached
+COMMAND_ARGS = {
+    "train": [], "strategies": [], "ablation": [], "dump-dataset": [],
+    "sweep-steps": ["--checkpoint", "ghost.json"], "exposure-bias": ["--checkpoint", "ghost.json"],
+}
+
+
+class TestUnusableSettingsExit2:
+    """A negative --seed, an --out that is a file, and an undecodable or too deeply nested
+    config end in exit 2 with one line, before anything is written."""
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+    @pytest.mark.parametrize("case", ["seed-negative", "out-is-file", "config-not-utf8", "config-too-deep"])
+    def test_exit_2_and_nothing_written(self, tiny_config, tmp_path, capsys, command, case):
+        config, out, extra = tiny_config, tmp_path / "out", []
+        if case == "seed-negative":
+            extra = ["--seed", "-1"]
+        elif case == "out-is-file":
+            out.write_text("kept\n")
+        elif case == "config-not-utf8":
+            config = tmp_path / "utf16.json"
+            config.write_bytes(b"\xff\xfe{}")
+        else:
+            config = tmp_path / "deep.json"
+            config.write_text("[" * 100_000 + "]" * 100_000)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*")}
+        code = cli.main([command, "--config", str(config), "--out", str(out), *extra, *COMMAND_ARGS[command]])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*")} == before
 
 
 # ---------------------------------------------------------------------------

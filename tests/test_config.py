@@ -4,19 +4,22 @@ import contextlib
 import copy
 import io
 import json
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bridgelab import cli
 from bridgelab.config import ConfigError, load_config
 from bridgelab.model import bridge_model_spec, predictor_spec
-from bridgelab.sampler import SamplerKind
+from bridgelab.sampler import SamplerConfig, SamplerKind
+from bridgelab.schedule import NoiseSchedule
 from bridgelab.seeding import named_stream
 from bridgelab.tasks import LinearGaussianTask, MixtureTask
-from bridgelab.training import ConditioningStrategy, TrainingStrategy
+from bridgelab.training import ConditioningStrategy, TrainConfig, TrainingStrategy
 
 GOOD = {
     "task": {"kind": "mixture", "dim": 2, "noise_var": 0.1},
@@ -48,7 +51,7 @@ class TestLoadConfig:
         cfg = load_config(write_config(tmp_path, GOOD))
         assert isinstance(cfg.task, MixtureTask)
         assert cfg.task.dim == 2 and cfg.task.noise_var == 0.1
-        assert cfg.model_hidden == (16, 16)
+        assert cfg.bridge_spec.hidden == (16, 16)
         assert cfg.train.strategy is TrainingStrategy.JOINT
         assert cfg.train.conditioning is ConditioningStrategy.M1
         assert cfg.sampler.kind is SamplerKind.SDE
@@ -118,6 +121,7 @@ class TestLoadConfig:
             lambda d: d.update({"out_dir": None}),
             lambda d: d["model"].update({"hidden": [16, 0]}),
             lambda d: d["model"].update({"time_embed_pairs": -1}),
+            lambda d: d["sampler"].update({"grid": "chebyshev"}),
         ],
         ids=[
             "epochs-float", "epochs-bool", "batch-integral-float", "patience-bool", "n_steps-float",
@@ -125,7 +129,7 @@ class TestLoadConfig:
             "model-scalar", "train-list", "task-list", "c-bool", "k-nan", "t_eps-string",
             "noise_var-bool", "center-bool", "weight-inf", "centers-scalar", "s2-inf", "prior_var-bool",
             "linear-noise_var-inf", "t_min-bool", "seed-negative", "out_dir-null", "hidden-zero",
-            "embed-negative",
+            "embed-negative", "grid-not-uniform",
         ],
     )
     def test_counts_and_blocks_must_be_typed(self, tmp_path, capsys, mutate):
@@ -165,15 +169,19 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, doc))
 
     def test_defaults_fill_missing_blocks(self, tmp_path):
+        # every missing key takes the default of the constructor its block feeds
         doc = {"task": {"kind": "mixture"}, "out_dir": "out", "seeds": [7]}
         cfg = load_config(write_config(tmp_path, doc))
-        assert cfg.schedule.c == 0.4
-        assert cfg.train.batch_size == 16
-        assert cfg.train.patience == 20
-        assert cfg.train.validation_size == 50
-        assert cfg.sampler.n_steps == 50
-        assert cfg.sampler.t_min is None
-        assert cfg.model_hidden == (128, 128)
+        assert cfg.task == MixtureTask()
+        assert cfg.schedule == NoiseSchedule()
+        assert cfg.train == TrainConfig()
+        assert cfg.sampler == SamplerConfig()
+        assert cfg.bridge_spec == bridge_model_spec(1)
+        assert cfg.predictor_spec == predictor_spec(1)
+        doc["task"] = {"kind": "linear_gaussian"}
+        task, expected = load_config(write_config(tmp_path, doc)).task, LinearGaussianTask.identity()
+        for name in ("mu0", "Sigma0", "A", "Sigma_n"):
+            np.testing.assert_array_equal(getattr(task, name), getattr(expected, name))
 
     def test_sampler_overrides(self, tmp_path):
         doc = json.loads(json.dumps(GOOD))
@@ -182,6 +190,36 @@ class TestLoadConfig:
         assert cfg.sampler.n_steps == 7
         assert cfg.sampler.kind is SamplerKind.ODE
         assert cfg.sampler.t_min == 0.05
+
+    def test_overrides_replace_out_dir_and_seeds(self, tmp_path):
+        path = write_config(tmp_path, GOOD)
+        cfg = load_config(path, "elsewhere", 9)
+        assert cfg.out_dir == "elsewhere" and cfg.seeds == (9,)
+        assert load_config(path) == load_config(path, None, None)
+        assert load_config(path).seeds == (1, 2)
+
+    @pytest.mark.parametrize(
+        "out,seed", [(None, -1), (None, True), (None, 2.0), (5, None)],
+        ids=["seed-negative", "seed-bool", "seed-float", "out-number"],
+    )
+    def test_overrides_are_checked_like_the_document(self, tmp_path, out, seed):
+        with pytest.raises(ConfigError, match="--seed" if seed is not None else "--out"):
+            load_config(write_config(tmp_path, GOOD), out, seed)
+
+    @pytest.mark.parametrize(
+        "key,value", [("seeds", [1, -2]), ("seeds", []), ("out_dir", None)],
+        ids=["negative-seed", "empty-seeds", "null-out_dir"],
+    )
+    def test_overrides_do_not_hide_an_invalid_document(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, dict(GOOD, **{key: value}))
+        out = tmp_path / "out"
+        with pytest.raises(ConfigError, match=key):
+            load_config(path, str(out), 3)
+        code = cli.main(["dump-dataset", "--config", str(path), "--out", str(out), "--seed", "3"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -206,34 +244,39 @@ VALUES = st.recursive(
 # documents with the config's top-level blocks, so that parsing gets past the root checks
 BLOCKS = ["task", "schedule", "model", "train", "sampler", "out_dir", "seeds"]
 DOCUMENTS = VALUES | st.dictionaries(st.sampled_from(BLOCKS), VALUES)
-FUZZ = settings(
-    max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.function_scoped_fixture]
-)
+# `--seed` (negatives included, None leaves it out) and whether `--out` names an existing file
+SEEDS = st.none() | st.integers(-3, 8)
+FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
 
 
-def main_on_document(doc, tmp_path):
-    """(exit code, stderr) of dump-dataset on a config file holding `doc`."""
-    path = tmp_path / "fuzz.json"
-    path.write_text(json.dumps(doc))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(["dump-dataset", "--config", str(path), "--out", str(tmp_path / "out")])
-    return code, err.getvalue()
-
-
-def assert_loads_or_exits_2(doc, tmp_path):
-    code, err = main_on_document(doc, tmp_path)
-    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG), (code, err)
-    if code == cli.EXIT_CONFIG:
-        assert err.startswith("config error: ") and err.count("\n") == 1, err
-        return
-    # what loads is usable by every subcommand: both networks, every seed's streams, the output path
-    cfg = load_config(tmp_path / "fuzz.json")
-    bridge_model_spec(cfg.task.dim, cfg.model_hidden, cfg.time_embed_pairs)
-    predictor_spec(cfg.task.dim, cfg.model_hidden)
-    for seed in cfg.seeds:
-        named_stream(seed, "train")
-    Path(cfg.out_dir)
+def assert_loads_or_exits_2(doc, seed=None, out_is_file=False):
+    """dump-dataset on a config file holding `doc` either runs, or exits 2 with one line and writes nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "fuzz.json", Path(tmp) / "out"
+        path.write_text(json.dumps(doc))
+        if out_is_file:
+            out.write_text("kept\n")
+        argv = ["dump-dataset", "--config", str(path), "--out", str(out)]
+        argv += [] if seed is None else ["--seed", str(seed)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        err = err.getvalue()
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG), (code, err)
+        if out_is_file or (seed is not None and seed < 0):
+            assert code == cli.EXIT_CONFIG, err
+        if code == cli.EXIT_CONFIG:
+            assert err.startswith("config error: ") and err.count("\n") == 1, err
+            assert out.read_text() == "kept\n" if out_is_file else not out.exists()
+            return
+        # what loads is usable by every subcommand: both networks for the task, every seed's streams
+        cfg = load_config(path, str(out), seed)
+        assert cfg.out_dir == str(out) and (seed is None or cfg.seeds == (seed,))
+        hidden, pairs = cfg.bridge_spec.hidden, cfg.bridge_spec.time_embed_pairs
+        assert cfg.bridge_spec == bridge_model_spec(cfg.task.dim, hidden, pairs)
+        assert cfg.predictor_spec == predictor_spec(cfg.task.dim, hidden)
+        for s in cfg.seeds:
+            named_stream(s, "train")
 
 
 def entries(node):
@@ -264,17 +307,17 @@ def mutate(doc, draw):
 
 class TestConfigFuzz:
     @FUZZ
-    @given(doc=DOCUMENTS)
-    def test_random_documents(self, tmp_path, doc):
-        assert_loads_or_exits_2(doc, tmp_path)
+    @given(doc=DOCUMENTS, seed=SEEDS, out_is_file=st.booleans())
+    def test_random_documents(self, doc, seed, out_is_file):
+        assert_loads_or_exits_2(doc, seed, out_is_file)
 
     @FUZZ
-    @given(name=st.sampled_from(sorted(SHIPPED)), data=st.data())
-    def test_mutated_shipped_configs(self, tmp_path, name, data):
+    @given(name=st.sampled_from(sorted(SHIPPED)), data=st.data(), seed=SEEDS, out_is_file=st.booleans())
+    def test_mutated_shipped_configs(self, name, data, seed, out_is_file):
         doc = copy.deepcopy(SHIPPED[name])
         for _ in range(data.draw(st.integers(1, 2))):
             mutate(doc, data.draw)
-        assert_loads_or_exits_2(doc, tmp_path)
+        assert_loads_or_exits_2(doc, seed, out_is_file)
 
     def test_shipped_configs_load(self):
         for name in SHIPPED:

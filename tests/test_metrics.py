@@ -22,38 +22,70 @@ from bridgelab.schedule import NoiseSchedule
 from bridgelab.tasks import MixtureTask
 
 
+def si_sdr_row(estimate, reference, ceiling_db=60.0):
+    """Reference SI-SDR of one row, written out one dot product at a time."""
+    ref_energy = float(reference @ reference)
+    if ref_energy == 0.0:
+        raise ValueError("reference signal is zero")
+    s = float(estimate @ reference) / ref_energy * reference
+    e = estimate - s
+    s_energy, e_energy = float(s @ s), float(e @ e)
+    if s_energy == 0.0:
+        return float("-inf")
+    if e_energy == 0.0:
+        return ceiling_db
+    return min(10.0 * np.log10(s_energy / e_energy), ceiling_db)
+
+
 class TestSiSdr:
     def test_perfect_estimate_hits_ceiling(self):
-        x = np.array([1.0, -2.0, 0.5])
-        assert si_sdr(x, x) == 60.0
+        x = np.array([[1.0, -2.0, 0.5]])
+        assert si_sdr(x, x).tolist() == [60.0]
 
     def test_scale_invariance(self):
-        x = np.array([1.0, -2.0, 0.5])
+        x = np.array([[1.0, -2.0, 0.5]])
         assert si_sdr(2.0 * x, x) == si_sdr(x, x)
-        noisy = x + np.array([0.1, -0.2, 0.05])
-        assert si_sdr(3.0 * noisy, x) == pytest.approx(si_sdr(noisy, x), abs=1e-12)
+        noisy = x + np.array([[0.1, -0.2, 0.05]])
+        np.testing.assert_allclose(si_sdr(3.0 * noisy, x), si_sdr(noisy, x), rtol=0, atol=1e-12)
 
     def test_hand_value(self):
         # reference (1,0), estimate (1,1): s = (1,0), e = (0,1) -> 0 dB
-        assert si_sdr(np.array([1.0, 1.0]), np.array([1.0, 0.0])) == pytest.approx(0.0)
+        assert si_sdr(np.array([[1.0, 1.0]]), np.array([[1.0, 0.0]]))[0] == pytest.approx(0.0)
 
     def test_orthogonal_estimate(self):
-        assert si_sdr(np.array([0.0, 1.0]), np.array([1.0, 0.0])) == float("-inf")
+        # the -inf row sits next to a ceiling row and an ordinary one
+        estimates = np.array([[0.0, 1.0], [2.0, 0.0], [1.0, 1.0]])
+        references = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+        assert si_sdr(estimates, references).tolist() == [float("-inf"), 60.0, pytest.approx(0.0)]
 
     def test_zero_reference_rejected(self):
-        with pytest.raises(ValueError):
-            si_sdr(np.array([1.0]), np.array([0.0]))
+        with pytest.raises(ValueError, match="zero"):
+            si_sdr(np.array([[1.0], [1.0]]), np.array([[1.0], [0.0]]))
+        with pytest.raises(ValueError, match="shapes"):
+            si_sdr(np.array([1.0]), np.array([1.0]))
 
     def test_monotone_in_noise_level(self):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal(64)
-        noise = rng.standard_normal(64)
-        values = [si_sdr(x + level * noise, x) for level in (0.01, 0.1, 1.0)]
+        x = rng.standard_normal((1, 64))
+        noise = rng.standard_normal((1, 64))
+        values = [si_sdr(x + level * noise, x)[0] for level in (0.01, 0.1, 1.0)]
         assert values[0] > values[1] > values[2]
 
     def test_configurable_ceiling(self):
-        x = np.array([1.0, 2.0])
-        assert si_sdr(x, x, ceiling_db=80.0) == 80.0
+        x = np.array([[1.0, 2.0]])
+        assert si_sdr(x, x, ceiling_db=80.0).tolist() == [80.0]
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 8])
+    def test_rows_equal_per_row_reference_bitwise(self, d):
+        rng = np.random.default_rng(d)
+        xs = rng.standard_normal((512, d))
+        estimates = xs + rng.uniform(0.0, 2.0, (512, 1)) * rng.standard_normal((512, d))
+        estimates[:3] = [2.0 * xs[0], np.zeros(d), xs[2]]  # ceiling, -inf and ceiling rows
+        expected = [si_sdr_row(e, x) for e, x in zip(estimates, xs)]
+        values = si_sdr(estimates, xs)
+        assert values.tolist() == expected
+        # the evaluation column is the mean of the per-row values (here past the -inf row)
+        assert float(np.mean(values[2:])) == float(np.mean(expected[2:]))
 
 
 def rotation(d, seed):

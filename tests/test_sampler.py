@@ -239,5 +239,3 @@ class TestSamplerConfig:
             SamplerConfig(n_steps=0)
         with pytest.raises(ValueError):
             SamplerConfig(t_min=1.5)
-        with pytest.raises(ValueError):
-            SamplerConfig(grid="chebyshev")

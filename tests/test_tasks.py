@@ -19,7 +19,7 @@ def mixture_posterior_quadrature(task: MixtureTask, y: float, n: int = 100_000) 
 
 class TestLinearGaussianPosterior:
     def test_scalar_shrinkage(self):
-        task = LinearGaussianTask.default_scalar()
+        task = LinearGaussianTask.identity()
         assert task.posterior_mean(np.array([2.0]))[0] == pytest.approx(1.0)
 
     def test_noiseless_limit_recovers_x(self):
@@ -127,7 +127,7 @@ class TestSamplers:
 
     @pytest.mark.parametrize(
         "task",
-        [MixtureTask(), LinearGaussianTask.default_scalar()],
+        [MixtureTask(), LinearGaussianTask.identity()],
         ids=["mixture", "linear_gaussian"],
     )
     def test_posterior_mean_optimality(self, task):

@@ -138,7 +138,7 @@ class TestTrainingStep:
 
 class TestTrainPredictor:
     def test_zero_epochs_returns_initialisation(self):
-        task = LinearGaussianTask.default_scalar()
+        task = LinearGaussianTask.identity()
         spec = predictor_spec(1, hidden=(8,))
         cfg = TrainConfig(epochs=0)
         params = train_predictor(task, spec, cfg, named_stream(3, "predictor"))
@@ -147,7 +147,7 @@ class TestTrainPredictor:
 
     def test_learns_scalar_posterior_mean(self):
         # quick version of the acceptance criterion: modest budget, loose gate
-        task = LinearGaussianTask.default_scalar()
+        task = LinearGaussianTask.identity()
         spec = predictor_spec(1, hidden=(32, 32))
         cfg = TrainConfig(epochs=20, steps_per_epoch=400, batch_size=16)
         params = train_predictor(task, spec, cfg, named_stream(4, "predictor"))
@@ -357,7 +357,7 @@ def reference_train(task, spec, config, schedule, predictor_params, rng, sampler
 
 TASKS = {
     "mixture2": lambda: MixtureTask(dim=2, noise_var=0.25),
-    "linear1": LinearGaussianTask.default_scalar,
+    "linear1": LinearGaussianTask.identity,
 }
 
 
