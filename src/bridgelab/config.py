@@ -67,9 +67,10 @@ def _seed(value, name: str) -> int:
     return value
 
 
-def _string(value, name: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a string, got {value!r}")
+def _directory(value, name: str) -> str:
+    """An output directory; the empty string would silently mean the working directory."""
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{name} must be a nonempty string, got {value!r}")
     return value
 
 
@@ -170,11 +171,11 @@ def load_config(path: str | Path, out: str | None = None, seed: int | None = Non
             raise ConfigError(f"{block} must be a JSON object")
 
     seeds = _list_of(_seed)(doc["seeds"], "seeds")
-    out_dir = _string(doc["out_dir"], "out_dir")
+    out_dir = _directory(doc["out_dir"], "out_dir")
     if seed is not None:
         seeds = (_seed(seed, "--seed"),)
-    if out:
-        out_dir = _string(out, "--out")
+    if out is not None:
+        out_dir = _directory(out, "--out")
     try:
         task = _parse_task(doc["task"])
         bridge_spec = _build(partial(bridge_model_spec, task.dim), _MODEL, doc.get("model", {}), "model")

@@ -127,10 +127,7 @@ def time_embedding(t, pairs: int = DEFAULT_TIME_EMBED_PAIRS) -> np.ndarray:
     Frequencies span [1, 1000]; the unit-frequency pair alone is injective
     on [0, 1], the fast pairs resolve fine time differences.
     """
-    t = np.asarray(t, dtype=float)
-    if pairs == 0:
-        return np.zeros(t.shape + (0,))
-    ang = t[..., None] * _time_frequencies(pairs)
+    ang = np.asarray(t, dtype=float)[..., None] * _time_frequencies(pairs)
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=-1)
 
 
@@ -162,27 +159,22 @@ def _activations(params: ModelParameters, u: np.ndarray) -> list[np.ndarray]:
 
 
 def apply_mlp(params: ModelParameters, inputs: np.ndarray) -> np.ndarray:
-    """Plain forward pass on pre-assembled inputs (B, input_dim) or (input_dim,)."""
-    u = np.asarray(inputs, dtype=float)
-    out = _activations(params, np.atleast_2d(u))[-1]
-    return out[0] if u.ndim == 1 else out
+    """Plain forward pass on a batch of pre-assembled inputs (B, input_dim)."""
+    return _activations(params, np.asarray(inputs, dtype=float))[-1]
 
 
 def forward(params: ModelParameters, spec: MlpSpec, x_t: np.ndarray, t, condition: np.ndarray) -> np.ndarray:
-    """Bridge-model forward pass: assemble (state, condition, time) and apply.
+    """Bridge-model forward pass on a batch: assemble (state, condition, time) and apply.
 
-    Accepts a single state (d,) or a batch (B, d); t may be scalar or (B,).
+    x_t and condition are (B, d); t is a scalar or (B,).
     """
-    x_t = np.asarray(x_t, dtype=float)
-    single = x_t.ndim == 1
     u = assemble_inputs(spec, x_t, t, condition)
     if not np.all(np.isfinite(u)):
         raise ValueError("non-finite network input")
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    out = apply_mlp(params, u)
-    return out[0] if single else out
+    return apply_mlp(params, u)
 
 
 def loss_and_gradients(

@@ -64,56 +64,36 @@ Predictor = Callable[[np.ndarray, float, np.ndarray], np.ndarray]
 
 def sde_step(
     x_tau: np.ndarray,
-    tau: float,
-    t: float,
     x0_hat: np.ndarray,
-    schedule: NoiseSchedule,
+    s2_tau: float,
+    s2_t: float,
     rng: np.random.Generator,
-    *,
-    sigma2s: tuple[float, float] | None = None,
 ) -> np.ndarray:
-    """One stochastic step from time tau down to time t.
-
-    sigma2s, when given, holds (sigma2(tau), sigma2(t)) computed by the caller.
-    """
-    if not t < tau:
-        raise ValueError(f"step requires t < tau, got t={t}, tau={tau}")
-    s2_tau = schedule.sigma2(tau) if sigma2s is None else sigma2s[0]
-    if s2_tau == 0.0:
-        raise ZeroDivisionError("sde_step from tau = 0 (sigma2 vanishes)")
-    s2_t = schedule.sigma2(t) if sigma2s is None else sigma2s[1]
+    """One stochastic step from the time of variance s2_tau down to that of s2_t."""
+    if not 0.0 <= s2_t < s2_tau:
+        raise ValueError(f"step requires 0 <= sigma2(t) < sigma2(tau), got {s2_t} and {s2_tau}")
     r = s2_t / s2_tau
     noise_std = math.sqrt(s2_t * (1.0 - r))
     z = rng.standard_normal(np.shape(x_tau))
-    return r * np.asarray(x_tau, dtype=float) + (1.0 - r) * np.asarray(x0_hat, dtype=float) + noise_std * z
+    return r * x_tau + (1.0 - r) * x0_hat + noise_std * z
 
 
 def ode_step(
     x_tau: np.ndarray,
-    tau: float,
-    t: float,
     x0_hat: np.ndarray,
     x1: np.ndarray,
-    schedule: NoiseSchedule,
-    *,
-    sigma2s: tuple[float, float] | None = None,
+    s2_tau: float,
+    s2_t: float,
+    s2_1: float,
 ) -> np.ndarray:
-    """One deterministic step from time tau down to time t.
+    """One deterministic step from the time of variance s2_tau down to that of s2_t.
 
-    sigma2s, when given, holds (sigma2(tau), sigma2(t)) computed by the caller.
+    s2_1 is the schedule's total variance sigma2(1).
     """
-    if not t < tau:
-        raise ValueError(f"step requires t < tau, got t={t}, tau={tau}")
-    s2_1 = schedule.sigma2_1
-    if sigma2s is None:
-        sigma2s = (schedule.sigma2(tau), schedule.sigma2(t))
-    s2_tau, s2_t = sigma2s
+    if not 0.0 <= s2_t < s2_tau:
+        raise ValueError(f"step requires 0 <= sigma2(t) < sigma2(tau), got {s2_t} and {s2_tau}")
     sb2_t = s2_1 - s2_t
     sb2_tau = s2_1 - s2_tau
-
-    x_tau = np.asarray(x_tau, dtype=float)
-    x0_hat = np.asarray(x0_hat, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
 
     if sb2_tau <= 0.0:
         # From tau = 1 the carry-over coefficient is 0/0; the limit is the
@@ -134,39 +114,36 @@ def sample_trajectory_batch(
     conditions: np.ndarray,
     config: SamplerConfig,
     schedule: NoiseSchedule,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run reverse passes for a whole batch at once.
 
     starts and conditions are (B, d).  Returns (times, states, predictions)
     with states (n_steps + 1, B, d) and predictions (n_steps, B, d); the
-    solution batch is predictions[-1].
+    solution batch is predictions[-1].  The ODE sampler draws nothing from
+    rng.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     conditions = np.atleast_2d(np.asarray(conditions, dtype=float))
     if starts.shape != conditions.shape:
         raise ValueError(f"starts/conditions shape mismatch: {starts.shape} vs {conditions.shape}")
-    if config.kind is SamplerKind.SDE and rng is None:
-        raise ValueError("SDE sampling needs a random stream")
 
     times = config.times(schedule)
-    # the scalar path, as a step computes them on its own
+    # sigma2 of each grid time through the scalar path, which the schedule keeps for the sampler
     sigma2s = [schedule.sigma2(float(t)) for t in times]
     states = np.empty((len(times),) + starts.shape)
     preds = np.empty((config.n_steps,) + starts.shape)
     x = starts.copy()
     states[0] = x
     for i in range(config.n_steps):
-        tau, t = times[i], times[i + 1]
-        x0_hat = np.asarray(predictor(x, float(tau), conditions), dtype=float)
+        x0_hat = np.asarray(predictor(x, float(times[i]), conditions), dtype=float)
         if x0_hat.shape != x.shape:
             raise ValueError(f"predictor returned shape {x0_hat.shape}, expected {x.shape}")
         preds[i] = x0_hat
-        pair = (sigma2s[i], sigma2s[i + 1])
         if config.kind is SamplerKind.SDE:
-            x = sde_step(x, float(tau), float(t), x0_hat, schedule, rng, sigma2s=pair)
+            x = sde_step(x, x0_hat, sigma2s[i], sigma2s[i + 1], rng)
         else:
-            x = ode_step(x, float(tau), float(t), x0_hat, starts, schedule, sigma2s=pair)
+            x = ode_step(x, x0_hat, starts, sigma2s[i], sigma2s[i + 1], schedule.sigma2_1)
         states[i + 1] = x
     return times, states, preds
 

@@ -127,17 +127,6 @@ class MixtureTask:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
-    @property
-    def measurement_dim(self) -> int:
-        return self.dim
-
-    def prior_variance(self) -> float:
-        """Per-coordinate variance: s2 + sum w_i c_i^2 - (sum w_i c_i)^2."""
-        c = self._centers
-        w = np.asarray(self.weights)
-        mean = float(w @ c)
-        return self.s2 + float(w @ c**2) - mean**2
-
     def clean_sampler(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """n i.i.d. prior draws, shape (n, dim).
 

@@ -16,8 +16,10 @@ whether the regularized objective is forced on:
 
 Early stopping monitors validation MSE (the distortion surrogate); the
 returned checkpoint is the EMA snapshot with the best validation perception
-proxy (Gaussian-moment W2) among distortion-sane checkpoints, falling back
-to the best-MSE snapshot when no W2 winner stays within the sanity guard.
+proxy (Gaussian-moment W2) among distortion-sane checkpoints.  An epoch that
+sets a new best MSE is always sane, so some snapshot qualifies as soon as one
+epoch validates; only when none does (zero epochs, or every validation MSE
+NaN) is the initial EMA shadow returned.
 
 Stream order.  Everything `train` draws comes from its one generator, in
 this order: the initial weights, the validation set and perception
@@ -40,7 +42,7 @@ from enum import Enum
 import numpy as np
 
 from .bridge import bridge_marginal, perturb
-from .metrics import ReferenceSet, perception_distance
+from .metrics import ReferenceSet, mse, perception_distance
 from .model import (
     EmaState,
     MlpSpec,
@@ -102,7 +104,7 @@ class ConditioningStrategy(Enum):
 
     @property
     def needs_predictor_at_inference(self) -> bool:
-        return self.value in ("M2", "M3", "M4")
+        return "x_star" in (self.bridge_endpoint, self.condition)
 
 
 @dataclass(frozen=True)
@@ -198,7 +200,7 @@ def inference_endpoints(
     """
     starts = ys
     conditions = ys
-    if conditioning.bridge_endpoint == "x_star" or conditioning.condition == "x_star":
+    if conditioning.needs_predictor_at_inference:
         if x_star_fn is None:
             raise ValueError(f"{conditioning.value} requires a predictor at inference time")
         x_stars = x_star_fn(ys)
@@ -241,8 +243,8 @@ def train(
     val_xs, val_ys = task.sample_measurements(config.validation_size, rng)
     reference = ReferenceSet(task.clean_sampler(VAL_REFERENCE_SIZE, rng))
 
+    initial_shadow = ema.shadow.copy()  # returned when no epoch validates
     best_mse = np.inf
-    best_mse_params = ema.shadow.copy()
     cand_w2 = np.inf
     cand_mse = np.inf
     cand_params = None
@@ -281,14 +283,12 @@ def train(
                 loss_sum += loss
 
         # validation with the EMA weights, mirroring the strategy's inference mode
-        starts, conditions = inference_endpoints(
-            conditioning, val_ys, x_star_fn if conditioning.needs_predictor_at_inference else None
-        )
+        starts, conditions = inference_endpoints(conditioning, val_ys, x_star_fn)
         _, _, preds = sample_trajectory_batch(
             make_bridge_predictor(ema.shadow, spec), starts, conditions, sampler, schedule, rng
         )
         finals = preds[-1]
-        val_mse = float(np.mean((finals - val_xs) ** 2))
+        val_mse = mse(finals, val_xs)
         val_w2, _ = perception_distance(finals, reference)
         log.append(
             {
@@ -302,7 +302,6 @@ def train(
         )
         if val_mse < best_mse:
             best_mse = val_mse
-            best_mse_params = ema.shadow.copy()
             stale = 0
         else:
             stale += 1
@@ -314,6 +313,4 @@ def train(
         if stale > config.patience:
             break
 
-    if cand_params is not None and cand_mse <= W2_SELECTION_GUARD * best_mse:
-        return cand_params, ema, log
-    return best_mse_params, ema, log
+    return (initial_shadow if cand_params is None else cand_params), ema, log

@@ -90,7 +90,7 @@ class TestCriterion02MarginalSamplerConsistency:
                     continue
                 w0_tau, w1_tau, var_tau = SCH.coefficients(tau)
                 at_tau = w0_tau * x0 + w1_tau * y + np.sqrt(var_tau) * rng.standard_normal(n)
-                out = sde_step(at_tau, tau, t, np.full(n, x0), SCH, rng)
+                out = sde_step(at_tau, np.full(n, x0), SCH.sigma2(tau), SCH.sigma2(t), rng)
                 w0_t, w1_t, var_t = SCH.coefficients(t)
                 mean_tol = 4 * np.sqrt(var_t / n)
                 assert abs(out.mean() - (w0_t * x0 + w1_t * y)) < mean_tol
@@ -120,7 +120,7 @@ class TestCriterion03OracleTrajectories:
             w0_t, w1_t, _ = SCH.coefficients(t)
             mean_tau = w0_tau * x0v + w1_tau * x1v
             mean_t = w0_t * x0v + w1_t * x1v
-            out = ode_step(mean_tau, tau, t, x0v, x1v, SCH)
+            out = ode_step(mean_tau, x0v, x1v, SCH.sigma2(tau), SCH.sigma2(t), SCH.sigma2_1)
             worst = max(worst, float(np.max(np.abs(out - mean_t))))
         assert worst < 1e-10
         report(3, f"50-step oracle SDE MSE {err:.2e}; ODE mean identity worst abs err {worst:.2e}")

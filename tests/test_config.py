@@ -119,6 +119,7 @@ class TestLoadConfig:
             lambda d: d["sampler"].update({"t_min": True}),
             lambda d: d.update({"seeds": [1, -2]}),
             lambda d: d.update({"out_dir": None}),
+            lambda d: d.update({"out_dir": ""}),
             lambda d: d["model"].update({"hidden": [16, 0]}),
             lambda d: d["model"].update({"time_embed_pairs": -1}),
             lambda d: d["sampler"].update({"grid": "chebyshev"}),
@@ -128,8 +129,8 @@ class TestLoadConfig:
             "dim-bool", "embed-float", "hidden-bool", "hidden-scalar", "seed-bool", "seed-float",
             "model-scalar", "train-list", "task-list", "c-bool", "k-nan", "t_eps-string",
             "noise_var-bool", "center-bool", "weight-inf", "centers-scalar", "s2-inf", "prior_var-bool",
-            "linear-noise_var-inf", "t_min-bool", "seed-negative", "out_dir-null", "hidden-zero",
-            "embed-negative", "grid-not-uniform",
+            "linear-noise_var-inf", "t_min-bool", "seed-negative", "out_dir-null", "out_dir-empty",
+            "hidden-zero", "embed-negative", "grid-not-uniform",
         ],
     )
     def test_counts_and_blocks_must_be_typed(self, tmp_path, capsys, mutate):
@@ -199,8 +200,8 @@ class TestLoadConfig:
         assert load_config(path).seeds == (1, 2)
 
     @pytest.mark.parametrize(
-        "out,seed", [(None, -1), (None, True), (None, 2.0), (5, None)],
-        ids=["seed-negative", "seed-bool", "seed-float", "out-number"],
+        "out,seed", [(None, -1), (None, True), (None, 2.0), (5, None), ("", None)],
+        ids=["seed-negative", "seed-bool", "seed-float", "out-number", "out-empty"],
     )
     def test_overrides_are_checked_like_the_document(self, tmp_path, out, seed):
         with pytest.raises(ConfigError, match="--seed" if seed is not None else "--out"):

@@ -62,24 +62,26 @@ class TestForward:
         params = init_params(spec, np.random.default_rng(0))
         for w in params.weights:
             w[:] = 0.0
-        out = forward(params, spec, np.array([1.0, -2.0]), 0.5, np.array([0.3, 0.3]))
-        np.testing.assert_array_equal(out, np.zeros(2))
+        out = forward(params, spec, np.array([[1.0, -2.0]]), 0.5, np.array([[0.3, 0.3]]))
+        np.testing.assert_array_equal(out, np.zeros((1, 2)))
 
     def test_deterministic_across_runs(self):
         spec = bridge_model_spec(2, hidden=(8,))
         p1 = init_params(spec, np.random.default_rng(3))
         p2 = init_params(spec, np.random.default_rng(3))
-        x, c = np.array([0.1, 0.2]), np.array([0.5, -0.5])
+        x, c = np.array([[0.1, 0.2]]), np.array([[0.5, -0.5]])
         np.testing.assert_array_equal(forward(p1, spec, x, 0.7, c), forward(p2, spec, x, 0.7, c))
 
     def test_batch_matches_single(self):
+        # each row of a batch equals the same row passed as a one-row batch
         spec = bridge_model_spec(2, hidden=(8,))
         params = init_params(spec, np.random.default_rng(4))
         xs = np.random.default_rng(1).standard_normal((5, 2))
         cs = np.random.default_rng(2).standard_normal((5, 2))
         batch = forward(params, spec, xs, 0.4, cs)
         for i in range(5):
-            np.testing.assert_allclose(batch[i], forward(params, spec, xs[i], 0.4, cs[i]), atol=1e-14)
+            row = slice(i, i + 1)
+            np.testing.assert_allclose(batch[row], forward(params, spec, xs[row], 0.4, cs[row]), atol=1e-14)
 
     def test_single_weight_perturbation_matches_gradient(self):
         spec = MlpSpec(input_dim=1, output_dim=1, hidden=(4,), time_embed_pairs=0)
@@ -102,11 +104,11 @@ class TestForward:
         spec = bridge_model_spec(2, hidden=(4,))
         params = init_params(spec, np.random.default_rng(6))
         with pytest.raises(ValueError):
-            forward(params, spec, np.zeros(3), 0.5, np.zeros(2))
+            forward(params, spec, np.zeros((1, 3)), 0.5, np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            forward(params, spec, np.array([np.inf, 0.0]), 0.5, np.zeros(2))
+            forward(params, spec, np.array([[np.inf, 0.0]]), 0.5, np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            forward(params, spec, np.zeros(2), 1.5, np.zeros(2))
+            forward(params, spec, np.zeros((1, 2)), 1.5, np.zeros((1, 2)))
 
 
 class TestLossAndGradients:
@@ -270,7 +272,8 @@ class TestTimeEmbedding:
         assert len(np.unique(emb.round(12), axis=0)) == len(ts)
 
     def test_zero_pairs(self):
-        assert time_embedding(np.array([0.5]), pairs=0).shape == (1, 0)
+        emb = time_embedding(np.array([0.5, 0.25]), pairs=0)
+        assert emb.shape == (2, 0) and emb.dtype == np.float64
 
     @pytest.mark.parametrize("pairs", [1, 4, 8])
     def test_cached_frequencies_match_geomspace(self, pairs):

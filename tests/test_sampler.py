@@ -20,30 +20,43 @@ def marginal_mean(t, x0, x1):
     return w0 * x0 + w1 * x1
 
 
+def sde(x_tau, tau, t, x0_hat, rng):
+    """sde_step from time tau down to time t."""
+    return sde_step(x_tau, x0_hat, SCH.sigma2(tau), SCH.sigma2(t), rng)
+
+
+def ode(x_tau, tau, t, x0_hat, x1):
+    """ode_step from time tau down to time t."""
+    return ode_step(x_tau, x0_hat, x1, SCH.sigma2(tau), SCH.sigma2(t), SCH.sigma2_1)
+
+
 class TestSdeStep:
     def test_near_degenerate_step_keeps_state(self):
         rng = np.random.default_rng(0)
         x_tau = np.array([1.7, -0.3])
-        out = sde_step(x_tau, 0.8, 0.8 - 1e-12, x_tau * 0.0, SCH, rng)
+        out = sde(x_tau, 0.8, 0.8 - 1e-12, x_tau * 0.0, rng)
         np.testing.assert_allclose(out, x_tau, atol=1e-6)
 
     def test_returns_prediction_at_t0(self):
         rng = np.random.default_rng(0)
         x0_hat = np.array([0.25, -4.0])
-        out = sde_step(np.array([9.0, 9.0]), 0.7, 0.0, x0_hat, SCH, rng)
+        out = sde(np.array([9.0, 9.0]), 0.7, 0.0, x0_hat, rng)
         np.testing.assert_array_equal(out, x0_hat)
 
     def test_ordering_error(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sde_step(np.zeros(1), 0.5, 0.5, np.zeros(1), SCH, rng)
+            sde(np.zeros(1), 0.5, 0.5, np.zeros(1), rng)
         with pytest.raises(ValueError):
-            sde_step(np.zeros(1), 0.5, 0.7, np.zeros(1), SCH, rng)
+            sde(np.zeros(1), 0.5, 0.7, np.zeros(1), rng)
 
     def test_zero_tau_guard(self):
+        # a step from sigma2 = 0 has no time to go down to: no variance is both >= 0 and < 0
         rng = np.random.default_rng(0)
-        with pytest.raises(ZeroDivisionError):
-            sde_step(np.zeros(1), 0.0, -0.1, np.zeros(1), SCH, rng)
+        with pytest.raises(ValueError):
+            sde(np.zeros(1), 0.0, 0.0, np.zeros(1), rng)
+        with pytest.raises(ValueError):
+            sde_step(np.zeros(1), np.zeros(1), 0.0, -0.1, rng)
 
     def test_one_step_composition_from_t1(self):
         # From the exact (degenerate) marginal at tau = 1, one step with the
@@ -53,7 +66,7 @@ class TestSdeStep:
         rng = np.random.default_rng(123)
         n = 100_000
         x0, y = 0.0, 1.0
-        out = sde_step(np.full(n, y), 1.0, 0.5, np.full(n, x0), SCH, rng)
+        out = sde(np.full(n, y), 1.0, 0.5, np.full(n, x0), rng)
         w0, w1, var = SCH.coefficients(0.5)
         expected_mean = w0 * x0 + w1 * y
         assert out.mean() == pytest.approx(expected_mean, abs=4 * np.sqrt(var / n))
@@ -69,7 +82,7 @@ class TestSdeStep:
         x0, y = -0.8, 1.4
         w0_tau, w1_tau, var_tau = SCH.coefficients(tau)
         at_tau = w0_tau * x0 + w1_tau * y + np.sqrt(var_tau) * rng.standard_normal(n)
-        out = sde_step(at_tau, tau, t, np.full(n, x0), SCH, rng)
+        out = sde(at_tau, tau, t, np.full(n, x0), rng)
         w0_t, w1_t, var_t = SCH.coefficients(t)
         expected_mean = w0_t * x0 + w1_t * y
         assert out.mean() == pytest.approx(expected_mean, abs=4 * np.sqrt(var_t / n))
@@ -83,18 +96,18 @@ class TestOdeStep:
         x0 = np.array([0.3, -1.1])
         x1 = np.array([1.0, 0.4])
         for tau, t in [(0.9, 0.5), (0.7, 0.3), (0.5, 0.01), (0.999, 0.9)]:
-            out = ode_step(marginal_mean(tau, x0, x1), tau, t, x0, x1, SCH)
+            out = ode(marginal_mean(tau, x0, x1), tau, t, x0, x1)
             np.testing.assert_allclose(out, marginal_mean(t, x0, x1), atol=1e-10)
 
     def test_limit_form_from_t1(self):
         x0 = np.array([0.3, -1.1])
         x1 = np.array([1.0, 0.4])
-        out = ode_step(x1, 1.0, 0.6, x0, x1, SCH)
+        out = ode(x1, 1.0, 0.6, x0, x1)
         np.testing.assert_allclose(out, marginal_mean(0.6, x0, x1), atol=1e-12)
 
     def test_returns_prediction_at_t0(self):
         x0_hat = np.array([2.0])
-        out = ode_step(np.array([0.7]), 0.5, 0.0, x0_hat, np.array([1.0]), SCH)
+        out = ode(np.array([0.7]), 0.5, 0.0, x0_hat, np.array([1.0]))
         np.testing.assert_allclose(out, x0_hat, atol=1e-15)
 
     def test_full_oracle_trajectory_tracks_means(self):
@@ -104,20 +117,26 @@ class TestOdeStep:
         x0, y = np.array([-0.4]), np.array([0.9])
         config = SamplerConfig(n_steps=50, kind=SamplerKind.ODE)
         predictor = lambda s, t, c: np.broadcast_to(x0, s.shape)
-        times, states, preds = sample_trajectory_batch(predictor, y[None, :], y[None, :], config, SCH)
+        times, states, preds = sample_trajectory_batch(
+            predictor, y[None, :], y[None, :], config, SCH, np.random.default_rng(0)
+        )
         for i, t in enumerate(times):
             np.testing.assert_allclose(states[i, 0], marginal_mean(float(t), x0, y), atol=1e-10)
         assert float(np.mean((preds[-1, 0] - x0) ** 2)) < 1e-6
 
     def test_deterministic(self):
-        args = (np.array([0.5]), 0.8, 0.3, np.array([-0.2]), np.array([1.0]), SCH)
-        a = ode_step(*args)
-        b = ode_step(*args)
+        args = (np.array([0.5]), 0.8, 0.3, np.array([-0.2]), np.array([1.0]))
+        a = ode(*args)
+        b = ode(*args)
         np.testing.assert_array_equal(a, b)
 
     def test_ordering_error(self):
         with pytest.raises(ValueError):
-            ode_step(np.zeros(1), 0.3, 0.3, np.zeros(1), np.zeros(1), SCH)
+            ode(np.zeros(1), 0.3, 0.3, np.zeros(1), np.zeros(1))
+        with pytest.raises(ValueError):
+            ode(np.zeros(1), 0.3, 0.5, np.zeros(1), np.zeros(1))
+        with pytest.raises(ValueError):
+            ode_step(np.zeros(1), np.zeros(1), np.zeros(1), 0.0, 0.0, SCH.sigma2_1)
 
 
 class TestSampleTrajectory:
@@ -188,7 +207,7 @@ class TestSampleTrajectory:
     @pytest.mark.parametrize("kind", list(SamplerKind), ids=lambda k: k.value)
     @pytest.mark.parametrize("n_steps", [1, 2, 7, 50])
     def test_matches_per_step_reference_loop(self, monkeypatch, kind, n_steps):
-        """Bitwise the loop whose steps compute sigma2 themselves, with sigma2 computed once per grid time."""
+        """Bitwise the loop that computes sigma2 at both ends of every step, with sigma2 computed once per grid time."""
         rng = np.random.default_rng(40)
         ys = rng.standard_normal((9, 2))
         predictor = lambda s, t, c: np.tanh(0.7 * s - 0.2 * c + t)
@@ -202,9 +221,9 @@ class TestSampleTrajectory:
             x0_hat = predictor(x, tau, ys)
             ref_preds.append(x0_hat)
             if kind is SamplerKind.SDE:
-                x = sde_step(x, tau, t, x0_hat, SCH, ref_rng)
+                x = sde(x, tau, t, x0_hat, ref_rng)
             else:
-                x = ode_step(x, tau, t, x0_hat, ys, SCH)
+                x = ode(x, tau, t, x0_hat, ys)
             ref_states.append(x)
 
         calls = []
@@ -221,7 +240,7 @@ class TestSampleTrajectory:
     def test_sde_requires_rng(self):
         y = np.array([[1.0]])
         predictor = lambda s, t, c: np.zeros_like(s)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             sample_trajectory_batch(predictor, y, y, SamplerConfig(n_steps=2), SCH)
 
 

@@ -97,7 +97,6 @@ class TestSamplers:
         assert abs(draws.mean()) < 0.02
         # law of total variance: s2 + 1 for centers +-1 with equal weights
         assert draws.var() == pytest.approx(1.01, rel=0.02)
-        assert task.prior_variance() == pytest.approx(1.01)
 
     def test_linear_gaussian_clean_covariance(self):
         rng = np.random.default_rng(6)

@@ -106,7 +106,7 @@ class TestTrainingStep:
         spec = bridge_model_spec(1, hidden=(8,))
         params = init_params(spec, np.random.default_rng(1))
         loss, _ = one_row_step(params, spec, 0.4, 1.2, 0.1, 1.0, TrainingStrategy.JOINT, np.random.default_rng(0))
-        out = forward(params, spec, np.array([1.2]), 1.0, np.array([1.2]))
+        out = forward(params, spec, np.array([[1.2]]), 1.0, np.array([[1.2]]))
         expected = float(np.mean((out - 0.1) ** 2))
         assert loss == pytest.approx(expected, rel=1e-12)
 
@@ -273,6 +273,14 @@ class TestTrain:
                 np.testing.assert_array_equal(xs[i], ref_xs)
                 np.testing.assert_array_equal(ys[i], ref_ys)  # M1: the endpoints are the measurements
                 np.testing.assert_array_equal(x_stars[i], ref_stars)
+
+    def test_zero_epochs_returns_initial_shadow(self):
+        """With no epoch to validate, train returns the initial EMA shadow, as the reference's rule does."""
+        task, spec, cfg = self.small_setup(epochs=0)
+        assert_same_training(task, spec, cfg, None, 15, SamplerConfig(n_steps=5))
+        params, ema, log = train(task, spec, cfg, SCH, None, named_stream(15, "train"), SamplerConfig(n_steps=5))
+        np.testing.assert_array_equal(params.flat, init_params(spec, named_stream(15, "train")).flat)
+        assert log == [] and params is not ema.shadow
 
     def test_m2_trains_and_validates_with_predictor_endpoints(self):
         task, spec, cfg = self.small_setup(conditioning=ConditioningStrategy.M2)
