@@ -16,18 +16,18 @@ import numpy as np
 from .schedule import NoiseSchedule
 
 
-def perturbation_weight(t, power: float = 2.0):
-    """Interpolation weight omega(t) = t^power, default t^2, for scalar or array t.
+def perturbation_weight(t):
+    """Interpolation weight omega(t) = t^2 for scalar or array t.
 
-    Zero at t=0's clean end and one at t=1's measurement end; the default
-    quadratic grows slowly for small t so targets stay near the clean data.
+    Zero at t=0's clean end and one at t=1's measurement end; the quadratic
+    grows slowly for small t so targets stay near the clean data.
     """
-    return np.asarray(t, dtype=float) ** power
+    return np.asarray(t, dtype=float) ** 2.0
 
 
-def perturb(xs: np.ndarray, x_stars: np.ndarray, ts, power: float = 2.0) -> np.ndarray:
+def perturb(xs: np.ndarray, x_stars: np.ndarray, ts) -> np.ndarray:
     """Rows interpolated from clean xs toward x_stars: (1 - w) x + w x_star, w = omega(t)."""
-    w = perturbation_weight(ts, power)[..., None]
+    w = perturbation_weight(ts)[..., None]
     return (1.0 - w) * xs + w * x_stars
 
 

@@ -358,7 +358,6 @@ def cmd_sweep_steps(
 ) -> Path:
     cfg = load_config(config_path, out_override, seed_override)
     steps = _parse_steps(steps_arg)
-    out = _make_out_dir(cfg)
     eval_seed = cfg.seeds[0]
     xs, ys, reference = make_eval_set(cfg, eval_seed)
     reference = ReferenceSet(reference)
@@ -370,7 +369,7 @@ def cmd_sweep_steps(
             report = evaluate_bridge(cfg, ckpt, xs, ys, reference, eval_seed, n, predictor_fn)
             print(f"[sweep] {method} steps={n} mse={report.mse:.5f} w2={report.w2:.5f}")
             rows.append([method, n, report.mse, report.si_sdr_db, report.w2, report.energy_distance])
-    out_path = out / "sweep_steps.csv"
+    out_path = _make_out_dir(cfg) / "sweep_steps.csv"
     write_csv(out_path, "sweep.v1", ["method", "steps", "mse", "si_sdr_db", "w2", "energy_distance"], rows)
     print(f"[sweep] wrote {out_path}")
     return out_path
@@ -383,7 +382,6 @@ def cmd_exposure_bias(
     seed_override: int | None = None,
 ) -> Path:
     cfg = load_config(config_path, out_override, seed_override)
-    out = _make_out_dir(cfg)
     eval_seed = cfg.seeds[0]
     xs, ys, reference = make_eval_set(cfg, eval_seed)
     reference = ReferenceSet(reference)
@@ -400,7 +398,7 @@ def cmd_exposure_bias(
                 _require_finite(f"{method} exposure step {i + 1}", pred_err=err, mse=step_mse, w2=w2)
                 rows.append([method, i + 1, float(times[i]), err, step_mse, w2])
         print(f"[exposure] {method}: final pred_err={rows[-1][3]:.5f}")
-    out_path = out / "exposure_bias.csv"
+    out_path = _make_out_dir(cfg) / "exposure_bias.csv"
     write_csv(out_path, "exposure.v1", ["method", "step", "t", "pred_err", "mse", "w2"], rows)
     print(f"[exposure] wrote {out_path}")
     return out_path

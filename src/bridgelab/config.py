@@ -57,10 +57,6 @@ def _real(value, name: str) -> float:
     return value
 
 
-def _optional_real(value, name: str) -> float | None:
-    return None if value is None else _real(value, name)
-
-
 def _seed(value, name: str) -> int:
     if _integer(value, name) < 0:
         raise ConfigError(f"{name} must be non-negative, got {value}")
@@ -68,9 +64,12 @@ def _seed(value, name: str) -> int:
 
 
 def _directory(value, name: str) -> str:
-    """An output directory; the empty string would silently mean the working directory."""
+    """An output directory.  The empty string would silently mean the working
+    directory, and an existing file would fail only at the first write, after the work."""
     if not isinstance(value, str) or not value:
         raise ConfigError(f"{name} must be a nonempty string, got {value!r}")
+    if Path(value).exists() and not Path(value).is_dir():
+        raise ConfigError(f"{name} names an existing file, not a directory: {value!r}")
     return value
 
 
@@ -114,7 +113,7 @@ _TRAIN = {
     "patience": _integer,
     "validation_size": _integer,
 }
-_SAMPLER = {"n_steps": _integer, "kind": _member(SamplerKind), "t_min": _optional_real}
+_SAMPLER = {"n_steps": _integer, "kind": _member(SamplerKind)}
 
 
 def _build(make, table: dict, block: dict, where: str):

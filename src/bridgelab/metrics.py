@@ -33,13 +33,13 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def si_sdr(estimates: np.ndarray, references: np.ndarray, ceiling_db: float = SI_SDR_CEILING_DB) -> np.ndarray:
+def si_sdr(estimates: np.ndarray, references: np.ndarray) -> np.ndarray:
     """Scale-invariant signal-to-distortion ratio in dB of each (n, d) row.
 
     Projects each estimate onto its reference: s = (<e, r>/||r||^2) r,
     e_res = estimate - s, and takes 10 log10(||s||^2 / ||e_res||^2), capped
-    at the ceiling.  A perfect (up to scale) estimate gets the ceiling; an
-    estimate orthogonal to its reference gets -inf.
+    at SI_SDR_CEILING_DB.  A perfect (up to scale) estimate gets the ceiling;
+    an estimate orthogonal to its reference gets -inf.
     """
     estimates = np.asarray(estimates, dtype=float)
     references = np.asarray(references, dtype=float)
@@ -52,8 +52,8 @@ def si_sdr(estimates: np.ndarray, references: np.ndarray, ceiling_db: float = SI
     e = estimates - s
     s_energy, e_energy = _row_dots(s, s), _row_dots(e, e)
     with np.errstate(divide="ignore", invalid="ignore"):  # the rows masked below
-        db = np.minimum(10.0 * np.log10(s_energy / e_energy), ceiling_db)
-    db[e_energy == 0.0] = ceiling_db
+        db = np.minimum(10.0 * np.log10(s_energy / e_energy), SI_SDR_CEILING_DB)
+    db[e_energy == 0.0] = SI_SDR_CEILING_DB
     db[s_energy == 0.0] = -np.inf
     return db
 

@@ -133,9 +133,9 @@ def time_embedding(t, pairs: int = DEFAULT_TIME_EMBED_PAIRS) -> np.ndarray:
 
 def assemble_inputs(spec: MlpSpec, x_t: np.ndarray, t, condition: np.ndarray) -> np.ndarray:
     """Concatenate [state; condition; time embedding] into the network input."""
-    x_t = np.atleast_2d(np.asarray(x_t, dtype=float))
-    condition = np.atleast_2d(np.asarray(condition, dtype=float))
-    if x_t.shape[0] != condition.shape[0]:
+    x_t = np.asarray(x_t, dtype=float)
+    condition = np.asarray(condition, dtype=float)
+    if x_t.ndim != 2 or condition.ndim != 2 or x_t.shape[0] != condition.shape[0]:
         raise ValueError(f"batch mismatch: state {x_t.shape} vs condition {condition.shape}")
     t_arr = np.broadcast_to(np.asarray(t, dtype=float), (x_t.shape[0],))
     emb = time_embedding(t_arr, spec.time_embed_pairs)
@@ -189,9 +189,9 @@ def loss_and_gradients(
     The gradients are written into `out` when given (a training loop passes
     one buffer for all its steps) and into a fresh vector otherwise.
     """
-    u = np.atleast_2d(np.asarray(inputs, dtype=float))
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    if u.shape[0] != targets.shape[0] or u.shape[0] == 0:
+    u = np.asarray(inputs, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    if u.ndim != 2 or u.shape[0] != targets.shape[0] or u.shape[0] == 0:
         raise ValueError(f"batch mismatch or empty: inputs {u.shape}, targets {targets.shape}")
 
     acts = _activations(params, u)
@@ -231,12 +231,8 @@ class AdamState:
     eps_hat: float = 1e-8
 
 
-def init_adam(params: ModelParameters, learning_rate: float = 1e-4) -> AdamState:
-    return AdamState(
-        m=ModelParameters(params.layer_dims),
-        v=ModelParameters(params.layer_dims),
-        learning_rate=learning_rate,
-    )
+def init_adam(params: ModelParameters) -> AdamState:
+    return AdamState(m=ModelParameters(params.layer_dims), v=ModelParameters(params.layer_dims))
 
 
 def adam_update(
@@ -264,8 +260,8 @@ class EmaState:
     decay: float = 0.999
 
 
-def init_ema(params: ModelParameters, decay: float = 0.999) -> EmaState:
-    return EmaState(shadow=params.copy(), decay=decay)
+def init_ema(params: ModelParameters) -> EmaState:
+    return EmaState(shadow=params.copy())
 
 
 def ema_update(ema: EmaState, params: ModelParameters) -> EmaState:

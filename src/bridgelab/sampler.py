@@ -1,9 +1,9 @@
 """First-order reverse samplers for the variance-exploding bridge.
 
 Both samplers walk a batch of states down a descending uniform time grid
-from 1 to t_min, call a data predictor at each step, and define the solution
-as the prediction made at the last step (the remaining noise scale at t_min
-is negligible).
+from 1 to the schedule's t_eps, call a data predictor at each step, and define
+the solution as the prediction made at the last step (the remaining noise
+scale at t_eps is negligible).
 
 The SDE step is
 
@@ -40,22 +40,18 @@ class SamplerKind(Enum):
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Step count, sampler family, and final time of one reverse pass on a uniform grid."""
+    """Step count and sampler family of one reverse pass on a uniform grid."""
 
     n_steps: int = 50
     kind: SamplerKind = SamplerKind.SDE
-    t_min: float | None = None  # defaults to the schedule's t_eps
 
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.t_min is not None and not 0.0 < self.t_min < 1.0:
-            raise ValueError(f"t_min must lie in (0, 1), got {self.t_min}")
 
     def times(self, schedule: NoiseSchedule) -> np.ndarray:
-        """Descending grid from 1 to the effective t_min, n_steps + 1 points."""
-        t_min = self.t_min if self.t_min is not None else schedule.t_eps
-        return np.linspace(1.0, t_min, self.n_steps + 1)
+        """Descending grid from 1 to the schedule's t_eps, n_steps + 1 points."""
+        return np.linspace(1.0, schedule.t_eps, self.n_steps + 1)
 
 
 # Predictor signature: (state, t, condition) -> clean-data estimate.
@@ -123,9 +119,9 @@ def sample_trajectory_batch(
     solution batch is predictions[-1].  The ODE sampler draws nothing from
     rng.
     """
-    starts = np.atleast_2d(np.asarray(starts, dtype=float))
-    conditions = np.atleast_2d(np.asarray(conditions, dtype=float))
-    if starts.shape != conditions.shape:
+    starts = np.asarray(starts, dtype=float)
+    conditions = np.asarray(conditions, dtype=float)
+    if starts.ndim != 2 or starts.shape != conditions.shape:
         raise ValueError(f"starts/conditions shape mismatch: {starts.shape} vs {conditions.shape}")
 
     times = config.times(schedule)

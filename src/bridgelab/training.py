@@ -218,7 +218,7 @@ def train(
     schedule: NoiseSchedule,
     predictor_params: ModelParameters | None,
     rng: np.random.Generator,
-    sampler: SamplerConfig | None = None,
+    sampler: SamplerConfig,
 ) -> tuple[ModelParameters, EmaState, list[dict]]:
     """Train the bridge model; returns (best EMA params, EMA state, log rows).
 
@@ -226,7 +226,6 @@ def train(
     train against the task's analytic posterior means instead (oracle mode,
     used in tests).
     """
-    sampler = sampler or SamplerConfig()
     strategy = config.effective_strategy
     conditioning = config.conditioning
 

@@ -65,18 +65,6 @@ class TestPerturbationWeight:
         assert np.all(np.diff(w) >= 0)
         assert np.all(np.diff(w, 2) >= -1e-12)
 
-    def test_configurable_power(self):
-        assert perturbation_weight(0.5, power=1.0) == 0.5
-        assert perturbation_weight(0.25, power=0.5) == 0.5
-
-    def test_power_passes_through_target_and_state(self):
-        x, y, x_star, ts = row(0.0), row(1.0), row(2.0), times(0.5)
-        assert perturb(x, x_star, ts, power=1.0)[0, 0] == pytest.approx(1.0)
-        noise = np.random.default_rng(0).standard_normal((1, 1))
-        s_pow = bridge_marginal(SCH, perturb(x, x_star, ts, power=1.0), y, ts, noise)
-        s_sq = bridge_marginal(SCH, perturb(x, x_star, ts), y, ts, noise)
-        assert s_pow[0, 0] != s_sq[0, 0]
-
 
 class TestPerturbedTarget:
     def test_clean_at_t0(self):

@@ -81,6 +81,7 @@ class TestLoadConfig:
             lambda d: d["train"].update({"learning_rate": 0.1}),
             lambda d: d["sampler"].update({"warp": "fast"}),
             lambda d: d["model"].update({"dropout": 0.5}),
+            lambda d: d["sampler"].update({"t_min": 0.05}),
         ],
     )
     def test_unknown_keys_are_errors(self, tmp_path, mutate):
@@ -116,7 +117,6 @@ class TestLoadConfig:
             lambda d: d["task"].update({"s2": float("inf")}),
             lambda d: d.update({"task": {"kind": "linear_gaussian", "prior_var": False}}),
             lambda d: d.update({"task": {"kind": "linear_gaussian", "noise_var": float("-inf")}}),
-            lambda d: d["sampler"].update({"t_min": True}),
             lambda d: d.update({"seeds": [1, -2]}),
             lambda d: d.update({"out_dir": None}),
             lambda d: d.update({"out_dir": ""}),
@@ -129,7 +129,7 @@ class TestLoadConfig:
             "dim-bool", "embed-float", "hidden-bool", "hidden-scalar", "seed-bool", "seed-float",
             "model-scalar", "train-list", "task-list", "c-bool", "k-nan", "t_eps-string",
             "noise_var-bool", "center-bool", "weight-inf", "centers-scalar", "s2-inf", "prior_var-bool",
-            "linear-noise_var-inf", "t_min-bool", "seed-negative", "out_dir-null", "out_dir-empty",
+            "linear-noise_var-inf", "seed-negative", "out_dir-null", "out_dir-empty",
             "hidden-zero", "embed-negative", "grid-not-uniform",
         ],
     )
@@ -186,11 +186,10 @@ class TestLoadConfig:
 
     def test_sampler_overrides(self, tmp_path):
         doc = json.loads(json.dumps(GOOD))
-        doc["sampler"] = {"n_steps": 7, "kind": "ODE", "t_min": 0.05, "grid": "uniform"}
+        doc["sampler"] = {"n_steps": 7, "kind": "ODE", "grid": "uniform"}
         cfg = load_config(write_config(tmp_path, doc))
         assert cfg.sampler.n_steps == 7
         assert cfg.sampler.kind is SamplerKind.ODE
-        assert cfg.sampler.t_min == 0.05
 
     def test_overrides_replace_out_dir_and_seeds(self, tmp_path):
         path = write_config(tmp_path, GOOD)
@@ -231,7 +230,7 @@ WORDS = sorted(
     {"task", "schedule", "model", "train", "sampler", "out_dir", "seeds", "kind", "mixture", "linear_gaussian",
      "centers", "weights", "s2", "noise_var", "prior_var", "dim", "c", "k", "t_eps", "hidden", "time_embed_pairs",
      "epochs", "steps_per_epoch", "batch_size", "strategy", "conditioning", "patience", "validation_size",
-     "n_steps", "t_min", "grid", "uniform", "SDE", "ODE", "Joint", "Vanilla", "M2"}
+     "n_steps", "grid", "uniform", "SDE", "ODE", "Joint", "Vanilla", "M2"}
 )
 # Numbers stay small: a document that loads is run through dump-dataset, which allocates task.dim columns.
 SCALARS = st.one_of(
@@ -321,5 +320,7 @@ class TestConfigFuzz:
         assert_loads_or_exits_2(doc, seed, out_is_file)
 
     def test_shipped_configs_load(self):
-        for name in SHIPPED:
-            load_config(Path(__file__).parents[1] / "configs" / name)
+        # the benchmark's configs too, so a key they name cannot be deleted unnoticed
+        root = Path(__file__).parents[1]
+        for path in sorted(root.glob("configs/*.json")) + sorted(root.glob("bench/configs/*.json")):
+            load_config(path)

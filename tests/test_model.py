@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,15 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(params, spec, np.zeros((1, 2)), 1.5, np.zeros((1, 2)))
 
+    def test_rejects_unbatched_state(self):
+        # a (d,) state is not read as a batch of one
+        spec = bridge_model_spec(2, hidden=(4,))
+        params = init_params(spec, np.random.default_rng(6))
+        with pytest.raises(ValueError, match="batch mismatch"):
+            forward(params, spec, np.zeros(2), 0.5, np.zeros(2))
+        with pytest.raises(ValueError, match="batch mismatch"):
+            assemble_inputs(spec, np.zeros((1, 2)), 0.5, np.zeros(2))
+
 
 class TestLossAndGradients:
     def test_zero_loss_zero_gradients_at_target(self):
@@ -167,6 +177,12 @@ class TestLossAndGradients:
         with pytest.raises(ValueError):
             loss_and_gradients(params, np.zeros((0, 1)), np.zeros((0, 1)))
 
+    def test_rejects_unbatched_inputs(self):
+        spec = predictor_spec(2, hidden=(2,))
+        params = init_params(spec, np.random.default_rng(13))
+        with pytest.raises(ValueError, match="batch mismatch"):
+            loss_and_gradients(params, np.zeros(2), np.zeros(2))
+
     def test_non_finite_loss_raises(self):
         spec = predictor_spec(1, hidden=(2,))
         params = init_params(spec, np.random.default_rng(14))
@@ -206,14 +222,14 @@ class TestAdam:
         # m_hat = 0.5, v_hat = 0.25 -> p - 0.1 * 0.5 / (0.5 + eps) ~= 0.9
         params = one_weight(1.0)
         grads = one_weight(0.5)
-        state = init_adam(params, learning_rate=0.1)
+        state = replace(init_adam(params), learning_rate=0.1)
         adam_update(params, grads, state)
         assert params.weights[0][0, 0] == pytest.approx(0.9, abs=1e-6)
 
     def test_constant_gradient_monotone_descent(self):
         params = one_weight(0.0)
         grads = one_weight(1.0)
-        state = init_adam(params, learning_rate=0.01)
+        state = replace(init_adam(params), learning_rate=0.01)
         values = [params.weights[0][0, 0]]
         for _ in range(3):
             adam_update(params, grads, state)
@@ -224,14 +240,14 @@ class TestAdam:
 class TestEma:
     def test_decay_zero_copies_parameters(self):
         params = one_weight(2.0, 1.0)
-        ema = init_ema(params, decay=0.0)
+        ema = replace(init_ema(params), decay=0.0)
         params.weights[0][0, 0] = 5.0
         ema_update(ema, params)
         assert ema.shadow.weights[0][0, 0] == 5.0
 
     def test_two_updates_hand_value(self):
         params = one_weight(1.0)
-        ema = init_ema(params, decay=0.5)
+        ema = replace(init_ema(params), decay=0.5)
         ema.shadow.weights[0][0, 0] = 0.0
         ema_update(ema, params)
         ema_update(ema, params)
@@ -239,7 +255,7 @@ class TestEma:
 
     def test_geometric_convergence(self):
         params = one_weight(1.0)
-        ema = init_ema(params, decay=0.9)
+        ema = replace(init_ema(params), decay=0.9)
         ema.shadow.weights[0][0, 0] = 0.0
         gaps = []
         for _ in range(5):
@@ -254,7 +270,7 @@ class TestEma:
         # running average never exceeds the raw parameter's.
         traj = 1.0 * 0.95 ** np.arange(100)
         params = one_weight(traj[0])
-        ema = init_ema(params, decay=0.9)
+        ema = replace(init_ema(params), decay=0.9)
         running_sum = 0.0
         for i, value in enumerate(traj):
             params.weights[0][0, 0] = value
@@ -388,8 +404,8 @@ class TestFlatLayout:
     def test_updates_match_per_layer_reference(self):
         rng = np.random.default_rng(30)
         params = init_params(self.SPEC, rng)
-        state = init_adam(params, learning_rate=1e-2)
-        ema = init_ema(params, decay=0.9)
+        state = replace(init_adam(params), learning_rate=1e-2)
+        ema = replace(init_ema(params), decay=0.9)
         ref_p = layer_arrays(params)
         ref_m = [np.zeros_like(a) for a in ref_p]
         ref_v = [np.zeros_like(a) for a in ref_p]
@@ -443,7 +459,7 @@ def test_save_load_save_is_byte_identical(input_dim, output_dim, hidden, seed):
     params.flat[:] = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)
     state = init_adam(params)
     adam_update(params, ModelParameters(params.layer_dims, rng.standard_normal(size)), state)
-    ema = init_ema(params, decay=0.5)
+    ema = replace(init_ema(params), decay=0.5)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
         save_checkpoint(first, spec, params, adam=state, ema=ema, meta={"seed": seed})

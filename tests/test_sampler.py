@@ -204,6 +204,12 @@ class TestSampleTrajectory:
             sample_trajectory_batch(predictor, y, np.zeros((2, 2)), SamplerConfig(n_steps=2), SCH,
                                     rng=np.random.default_rng(0))
 
+    def test_rejects_unbatched_starts(self):
+        y = np.array([1.0, 2.0])
+        predictor = lambda s, t, c: np.zeros_like(s)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            sample_trajectory_batch(predictor, y, y, SamplerConfig(n_steps=2), SCH, rng=np.random.default_rng(0))
+
     @pytest.mark.parametrize("kind", list(SamplerKind), ids=lambda k: k.value)
     @pytest.mark.parametrize("n_steps", [1, 2, 7, 50])
     def test_matches_per_step_reference_loop(self, monkeypatch, kind, n_steps):
@@ -246,8 +252,9 @@ class TestSampleTrajectory:
 
 class TestSamplerConfig:
     def test_uniform_grid(self):
-        config = SamplerConfig(n_steps=4, t_min=0.2)
-        np.testing.assert_allclose(config.times(SCH), [1.0, 0.8, 0.6, 0.4, 0.2])
+        schedule = NoiseSchedule(t_eps=0.2)
+        times = SamplerConfig(n_steps=4).times(schedule)
+        np.testing.assert_allclose(times, [1.0, 0.8, 0.6, 0.4, 0.2])
 
     def test_t_min_defaults_to_schedule_eps(self):
         config = SamplerConfig(n_steps=2)
@@ -256,5 +263,3 @@ class TestSamplerConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SamplerConfig(n_steps=0)
-        with pytest.raises(ValueError):
-            SamplerConfig(t_min=1.5)
