@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
-from contextlib import contextmanager
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -73,11 +71,15 @@ def write_csv(path: Path, schema: str, columns: list[str], rows: list[list]) -> 
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def csv_body(path: Path) -> str:
-    """CSV content with comment lines stripped (what determinism covers)."""
-    return "".join(
-        line for line in Path(path).read_text().splitlines(keepends=True) if not line.startswith("#")
-    )
+def _make_out_dir(path: str | Path) -> Path:
+    """Create an output directory just before the first file is written into
+    it, so a run that fails earlier leaves nothing behind."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +92,7 @@ def _method_label(strategy: TrainingStrategy, conditioning: ConditioningStrategy
 
 def train_predictor_for_seed(cfg: ExperimentConfig, seed: int, seed_dir: Path) -> tuple[ModelParameters, Path]:
     params = train_predictor(cfg.task, cfg.predictor_spec, cfg.train, named_stream(seed, "predictor"))
-    path = seed_dir / "predictor.json"
+    path = _make_out_dir(seed_dir) / "predictor.json"  # each seed's first file
     save_checkpoint(
         path,
         cfg.predictor_spec,
@@ -213,19 +215,6 @@ def make_eval_set(cfg: ExperimentConfig, eval_seed: int) -> tuple[np.ndarray, np
     return xs, ys, reference
 
 
-@contextmanager
-def _overflow_unreported():
-    """Drop numpy's overflow and invalid-value warnings; the callers reject the
-    non-finite values they leave with one message instead.
-
-    A warnings filter rather than np.errstate: inside a non-default errstate
-    every ufunc call costs more, measurable over a 512-row evaluation.
-    """
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", r"(overflow|invalid value) encountered", RuntimeWarning)
-        yield
-
-
 def _require_finite(where: str, **values) -> None:
     """Reject non-finite evaluation values before any CSV is written."""
     bad = [name for name, value in values.items() if not np.isfinite(value).all()]
@@ -249,7 +238,8 @@ def sample_bridge(
     conditioning = ConditioningStrategy(ckpt["meta"]["conditioning"])
     sampler_cfg = cfg.sampler if n_steps is None else replace(cfg.sampler, n_steps=n_steps)
     rng = named_stream(eval_seed, "sample", index=sampler_cfg.n_steps)
-    with _overflow_unreported():
+    # overflow stops at forward's finite-input check or at the callers' _require_finite
+    with np.errstate(over="ignore", invalid="ignore"):
         try:
             starts, conditions = inference_endpoints(conditioning, ys, predictor_fn)
             predictor = make_bridge_predictor(ckpt["params"], ckpt["spec"])
@@ -274,7 +264,7 @@ def evaluate_bridge(
     """Evaluate one bridge checkpoint on the fixed evaluation set."""
     _, preds = sample_bridge(cfg, ckpt, ys, eval_seed, n_steps, predictor_fn)
     finals = preds[-1]
-    with _overflow_unreported():
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite results are rejected below
         w2, energy = perception_distance(finals, reference)
         report = EvalReport(
             mse=mse(finals, xs),
@@ -309,18 +299,9 @@ def evaluate_checkpoint_file(
 # subcommands
 
 
-def _make_out_dir(cfg: ExperimentConfig) -> Path:
-    out = Path(cfg.out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-    return out
-
-
 def cmd_train(config_path: str, out_override: str | None = None, seed_override: int | None = None) -> list[Path]:
     cfg = load_config(config_path, out_override, seed_override)
-    out = _make_out_dir(cfg)
+    out = Path(cfg.out_dir)
     written = []
     for seed in cfg.seeds:
         seed_dir = out / f"seed_{seed}"
@@ -369,7 +350,7 @@ def cmd_sweep_steps(
             report = evaluate_bridge(cfg, ckpt, xs, ys, reference, eval_seed, n, predictor_fn)
             print(f"[sweep] {method} steps={n} mse={report.mse:.5f} w2={report.w2:.5f}")
             rows.append([method, n, report.mse, report.si_sdr_db, report.w2, report.energy_distance])
-    out_path = _make_out_dir(cfg) / "sweep_steps.csv"
+    out_path = _make_out_dir(cfg.out_dir) / "sweep_steps.csv"
     write_csv(out_path, "sweep.v1", ["method", "steps", "mse", "si_sdr_db", "w2", "energy_distance"], rows)
     print(f"[sweep] wrote {out_path}")
     return out_path
@@ -390,7 +371,7 @@ def cmd_exposure_bias(
         ckpt, predictor_fn = _load_bridge(path, cfg)
         times, preds = sample_bridge(cfg, ckpt, ys, eval_seed, predictor_fn=predictor_fn)
         method = ckpt["meta"]["method"]
-        with _overflow_unreported():
+        with np.errstate(over="ignore", invalid="ignore"):  # each row is checked before it is kept
             errors = prediction_errors(preds, xs)
             for i, pred in enumerate(preds):
                 # W2 alone: the energy distance is not part of this table
@@ -398,7 +379,7 @@ def cmd_exposure_bias(
                 _require_finite(f"{method} exposure step {i + 1}", pred_err=err, mse=step_mse, w2=w2)
                 rows.append([method, i + 1, float(times[i]), err, step_mse, w2])
         print(f"[exposure] {method}: final pred_err={rows[-1][3]:.5f}")
-    out_path = _make_out_dir(cfg) / "exposure_bias.csv"
+    out_path = _make_out_dir(cfg.out_dir) / "exposure_bias.csv"
     write_csv(out_path, "exposure.v1", ["method", "step", "t", "pred_err", "mse", "w2"], rows)
     print(f"[exposure] wrote {out_path}")
     return out_path
@@ -422,7 +403,7 @@ def _run_grid(
     """Per seed: train the predictor, then train and evaluate one bridge per
     (label, strategy, conditioning) unit; write per-seed and median rows."""
     cfg = load_config(config_path, out_override, seed_override)
-    out = _make_out_dir(cfg)
+    out = Path(cfg.out_dir)
     eval_seed = cfg.seeds[0]
     xs, ys, reference = make_eval_set(cfg, eval_seed)
     reference = ReferenceSet(reference)
@@ -459,12 +440,11 @@ def cmd_dump_dataset(
     seed_override: int | None = None,
 ) -> Path:
     cfg = load_config(config_path, out_override, seed_override)
-    out = _make_out_dir(cfg)
     xs, ys, x_stars = cfg.task.sample_pairs(DATASET_DUMP_ROWS, named_stream(cfg.seeds[0], "data"))
     d, m = xs.shape[1], ys.shape[1]
     columns = [f"x{i}" for i in range(d)] + [f"y{i}" for i in range(m)] + [f"x_star{i}" for i in range(d)]
     rows = [list(xs[i]) + list(ys[i]) + list(x_stars[i]) for i in range(len(xs))]
-    out_path = out / "dataset.csv"
+    out_path = _make_out_dir(cfg.out_dir) / "dataset.csv"
     write_csv(out_path, "dataset.v1", columns, rows)
     print(f"[dump-dataset] wrote {out_path} ({len(rows)} rows)")
     return out_path

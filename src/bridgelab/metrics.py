@@ -17,6 +17,10 @@ import numpy as np
 
 SI_SDR_CEILING_DB = 60.0
 
+# Rows of the first set per pairwise-distance block.  The block fixes the
+# summation order of the energy distance, so it must not change.
+PAIRWISE_BLOCK_ROWS = 512
+
 
 @dataclass
 class EvalReport:
@@ -75,19 +79,18 @@ def gaussian_w2(mu0: np.ndarray, cov0: np.ndarray, mu1: np.ndarray, cov1: np.nda
     return float(np.sqrt(max(w2_sq, 0.0)))
 
 
-def _mean_pairwise_distance(a: np.ndarray, b: np.ndarray, block: int = 512) -> float:
+def _mean_pairwise_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Mean Euclidean distance over all (i, j) pairs.
 
     Scalar samples use the exact sorted O((n+m) log n) evaluation; higher
-    dimensions fall back to chunked pairwise blocks to bound memory.  The
-    block size fixes the summation order, so it must not change.
+    dimensions fall back to blocks of PAIRWISE_BLOCK_ROWS rows to bound memory.
     """
     if a.shape[1] == 1:
         return _mean_abs_difference_sorted(a.ravel(), b.ravel())
     b_norms = np.sum(b**2, axis=1)
     total = 0.0
-    for start in range(0, a.shape[0], block):
-        chunk = a[start : start + block]
+    for start in range(0, a.shape[0], PAIRWISE_BLOCK_ROWS):
+        chunk = a[start : start + PAIRWISE_BLOCK_ROWS]
         d2 = np.sum(chunk**2, axis=1)[:, None] + b_norms
         d2 -= 2.0 * chunk @ b.T
         np.maximum(d2, 0.0, out=d2)

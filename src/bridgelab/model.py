@@ -121,7 +121,7 @@ def _time_frequencies(pairs: int) -> np.ndarray:
     return freqs
 
 
-def time_embedding(t, pairs: int = DEFAULT_TIME_EMBED_PAIRS) -> np.ndarray:
+def time_embedding(t, pairs: int) -> np.ndarray:
     """Sine/cosine features of t at `pairs` geometrically spaced frequencies.
 
     Frequencies span [1, 1000]; the unit-frequency pair alone is injective
@@ -137,8 +137,8 @@ def assemble_inputs(spec: MlpSpec, x_t: np.ndarray, t, condition: np.ndarray) ->
     condition = np.asarray(condition, dtype=float)
     if x_t.ndim != 2 or condition.ndim != 2 or x_t.shape[0] != condition.shape[0]:
         raise ValueError(f"batch mismatch: state {x_t.shape} vs condition {condition.shape}")
-    t_arr = np.broadcast_to(np.asarray(t, dtype=float), (x_t.shape[0],))
-    emb = time_embedding(t_arr, spec.time_embed_pairs)
+    pairs = spec.time_embed_pairs  # a shared scalar t is embedded once, then broadcast over the rows
+    emb = np.broadcast_to(time_embedding(t, pairs), (x_t.shape[0], 2 * pairs))
     u = np.concatenate([x_t, condition, emb], axis=1)
     if u.shape[1] != spec.input_dim:
         raise ValueError(f"assembled width {u.shape[1]} != spec input_dim {spec.input_dim}")
@@ -160,7 +160,10 @@ def _activations(params: ModelParameters, u: np.ndarray) -> list[np.ndarray]:
 
 def apply_mlp(params: ModelParameters, inputs: np.ndarray) -> np.ndarray:
     """Plain forward pass on a batch of pre-assembled inputs (B, input_dim)."""
-    return _activations(params, np.asarray(inputs, dtype=float))[-1]
+    u = np.asarray(inputs, dtype=float)
+    if u.ndim != 2:
+        raise ValueError(f"inputs must be a (B, input_dim) batch, got shape {u.shape}")
+    return _activations(params, u)[-1]
 
 
 def forward(params: ModelParameters, spec: MlpSpec, x_t: np.ndarray, t, condition: np.ndarray) -> np.ndarray:
@@ -235,9 +238,7 @@ def init_adam(params: ModelParameters) -> AdamState:
     return AdamState(m=ModelParameters(params.layer_dims), v=ModelParameters(params.layer_dims))
 
 
-def adam_update(
-    params: ModelParameters, grads: ModelParameters, state: AdamState
-) -> tuple[ModelParameters, AdamState]:
+def adam_update(params: ModelParameters, grads: ModelParameters, state: AdamState) -> None:
     """Bias-corrected Adam step, applied in place to the whole vector."""
     state.step += 1
     b1, b2 = state.beta1, state.beta2
@@ -249,7 +250,6 @@ def adam_update(
     v *= b2
     v += (1.0 - b2) * g**2
     params.flat -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps_hat)
-    return params, state
 
 
 @dataclass
@@ -264,12 +264,11 @@ def init_ema(params: ModelParameters) -> EmaState:
     return EmaState(shadow=params.copy())
 
 
-def ema_update(ema: EmaState, params: ModelParameters) -> EmaState:
+def ema_update(ema: EmaState, params: ModelParameters) -> None:
     """shadow <- decay * shadow + (1 - decay) * params, in place."""
     d = ema.decay
     ema.shadow.flat *= d
     ema.shadow.flat += (1.0 - d) * params.flat
-    return ema
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Criteria 1-7 and 11 are exact or fast statistical checks.  Criteria 8-10
-train real models on the mixture task (dim 4, noise_var 0.1 unless stated)
+train real models on the mixture task (dim 4, noise_var 0.25)
 and verify the directional claims: flatter error accumulation, a weakly
 dominant distortion profile across step counts with preserved perception,
-and the strategy table.  Criteria 8 and 9 share one set of trained models
-via a module-scoped fixture; criterion 10 drives the strategies subcommand
-end to end.
+and the strategy table.  Criterion 10 drives the strategies subcommand end
+to end, once per module; criteria 8 and 9 share one set of head-to-head
+models that takes the predictor, Vanilla and Joint from that run and trains
+only InputOnly.
 """
 
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from bridgelab.model import (
     apply_mlp,
     bridge_model_spec,
     init_params,
+    load_checkpoint,
     loss_and_gradients,
     predictor_spec,
 )
@@ -39,6 +42,8 @@ from bridgelab.training import (
     train,
     train_predictor,
 )
+
+from artifacts import csv_body
 
 SCH = NoiseSchedule()
 
@@ -239,14 +244,79 @@ class TestCriterion07PredictorQuality:
 # directional criteria: shared trained models
 
 
+def strategies_config(e: dict, out_dir) -> dict:
+    """The `strategies` config of an EXPERIMENT-shaped experiment."""
+    return {
+        "task": {"kind": "mixture", "dim": e["dim"], "noise_var": e["noise_var"]},
+        "schedule": {},
+        "model": {"hidden": list(e["hidden"]), "time_embed_pairs": 8},
+        "train": {
+            "epochs": e["epochs"],
+            "steps_per_epoch": e["steps_per_epoch"],
+            "batch_size": e["batch_size"],
+            "strategy": "Vanilla",
+            "conditioning": "M1",
+            "patience": e["patience"],
+            "validation_size": 50,
+        },
+        "sampler": {"n_steps": 50},
+        "out_dir": str(out_dir),
+        "seeds": e["seeds"],
+    }
+
+
+def run_strategies(e: dict, root):
+    """(config path, CSV path) of one `strategies` run under `root`."""
+    config_path = root / "strategies.json"
+    config_path.write_text(json.dumps(strategies_config(e, root / "strategies")))
+    return config_path, cli.cmd_strategies(str(config_path))
+
+
+def head_to_head_setup(e: dict):
+    """(task, bridge spec, TrainConfig keywords) of the head-to-head trainings."""
+    base = dict(
+        epochs=e["epochs"], steps_per_epoch=e["steps_per_epoch"], batch_size=e["batch_size"], patience=e["patience"],
+    )
+    return MixtureTask(dim=e["dim"], noise_var=e["noise_var"]), bridge_model_spec(e["dim"], e["hidden"]), base
+
+
+def train_head_to_head_predictor(e: dict, seed: int):
+    task, _, base = head_to_head_setup(e)
+    return train_predictor(
+        task, predictor_spec(e["dim"], e["hidden"]), TrainConfig(**base), named_stream(seed, "predictor")
+    )
+
+
+def train_head_to_head_bridge(e: dict, seed: int, strategy: TrainingStrategy, predictor):
+    task, spec, base = head_to_head_setup(e)
+    cfg = TrainConfig(**base, strategy=strategy)
+    sampler = SamplerConfig(n_steps=50)
+    params, _, _ = train(task, spec, cfg, SCH, predictor, named_stream(seed, "train"), sampler=sampler)
+    return params
+
+
+# The strategies run's units that are head-to-head trainings (asserted by
+# TestSharedUnits): Vanilla/M1 is M1, and Joint/M1 is M5, whose regularized
+# flag forces Joint with the same y endpoint and condition.
+SHARED_UNITS = {"predictor": "predictor.json", "Vanilla": "model_M1.json", "Joint": "model_M5.json"}
+
+
 @pytest.fixture(scope="module")
-def head_to_head():
-    """Train Vanilla, InputOnly, and Joint bridge models over the pinned
-    seeds and evaluate per-step error curves plus the step sweep on a fixed
-    evaluation set (criteria 8 and 9 share these models)."""
+def strategies_run(tmp_path_factory):
+    """One `strategies` run over the pinned seeds, shared by criteria 8-10."""
+    return run_strategies(EXPERIMENT, tmp_path_factory.mktemp("acceptance"))
+
+
+@pytest.fixture(scope="module")
+def head_to_head(strategies_run):
+    """Vanilla, InputOnly, and Joint bridge models over the pinned seeds,
+    evaluated as per-step error curves plus the step sweep on a fixed
+    evaluation set (criteria 8 and 9 share these models).  The predictor,
+    Vanilla and Joint come from the strategies run; only InputOnly is
+    trained here."""
     e = EXPERIMENT
-    task = MixtureTask(dim=e["dim"], noise_var=e["noise_var"])
-    spec = bridge_model_spec(e["dim"], e["hidden"])
+    task, spec, _ = head_to_head_setup(e)
+    run_dir = strategies_run[1].parent
     sampler50 = SamplerConfig(n_steps=50)
     xs, ys, _ = task.sample_pairs(e["eval_pairs"], named_stream(e["eval_seed"], "eval"))
     reference = task.clean_sampler(e["reference"], named_stream(e["eval_seed"], "eval", 1))
@@ -255,19 +325,12 @@ def head_to_head():
     curves = {s.value: [] for s in strategies}
     sweeps = {s.value: {n: [] for n in e["sweep_steps"]} for s in strategies}
     for seed in e["seeds"]:
-        base = dict(
-            epochs=e["epochs"], steps_per_epoch=e["steps_per_epoch"], batch_size=e["batch_size"],
-            patience=e["patience"],
-        )
-        predictor = train_predictor(
-            task, predictor_spec(e["dim"], e["hidden"]), TrainConfig(**base), named_stream(seed, "predictor")
-        )
+        trained = {
+            name: load_checkpoint(run_dir / f"seed_{seed}" / file)["params"] for name, file in SHARED_UNITS.items()
+        }
+        trained["InputOnly"] = train_head_to_head_bridge(e, seed, TrainingStrategy.INPUT_ONLY, trained["predictor"])
         for strategy in strategies:
-            cfg = TrainConfig(**base, strategy=strategy)
-            params, _, _ = train(
-                task, spec, cfg, SCH, predictor, named_stream(seed, "train"), sampler=sampler50
-            )
-            predict = make_bridge_predictor(params, spec)
+            predict = make_bridge_predictor(trained[strategy.value], spec)
             rng50 = named_stream(e["eval_seed"], "sample", 50)
             _, _, preds = sample_trajectory_batch(predict, ys, ys, sampler50, SCH, rng50)
             curves[strategy.value].append(
@@ -291,6 +354,23 @@ def head_to_head():
         "curves": {k: np.median(np.array(v), axis=0) for k, v in curves.items()},
         "sweeps": sweeps,
     }
+
+
+class TestSharedUnits:
+    """The strategies run's predictor, M1 and M5 checkpoints hold the weights
+    that training the head-to-head predictor, Vanilla and Joint directly
+    gives, so head_to_head may load them instead of training them again."""
+
+    def test_strategy_units_equal_direct_trainings(self, tmp_path):
+        e = {**EXPERIMENT, "dim": 2, "hidden": (8, 8), "epochs": 3, "steps_per_epoch": 40, "seeds": [1, 2]}
+        run_dir = run_strategies(e, tmp_path)[1].parent
+        for seed in e["seeds"]:
+            direct = {"predictor": train_head_to_head_predictor(e, seed)}
+            for strategy in (TrainingStrategy.VANILLA, TrainingStrategy.JOINT):
+                direct[strategy.value] = train_head_to_head_bridge(e, seed, strategy, direct["predictor"])
+            for name, file in SHARED_UNITS.items():
+                saved = load_checkpoint(run_dir / f"seed_{seed}" / file)["params"]
+                np.testing.assert_array_equal(saved.flat, direct[name].flat, err_msg=f"seed {seed} {name}")
 
 
 class TestCriterion08ExposureBiasDirection:
@@ -354,28 +434,9 @@ class TestAblationDirections:
 
 
 class TestCriterion10StrategyTable:
-    def test_cmd_strategies_and_m2_direction(self, tmp_path):
+    def test_cmd_strategies_and_m2_direction(self, strategies_run, tmp_path):
         e = EXPERIMENT
-        config = {
-            "task": {"kind": "mixture", "dim": e["dim"], "noise_var": e["noise_var"]},
-            "schedule": {},
-            "model": {"hidden": list(e["hidden"]), "time_embed_pairs": 8},
-            "train": {
-                "epochs": e["epochs"],
-                "steps_per_epoch": e["steps_per_epoch"],
-                "batch_size": e["batch_size"],
-                "strategy": "Vanilla",
-                "conditioning": "M1",
-                "patience": e["patience"],
-                "validation_size": 50,
-            },
-            "sampler": {"n_steps": 50},
-            "out_dir": str(tmp_path / "strategies"),
-            "seeds": e["seeds"],
-        }
-        config_path = tmp_path / "strategies.json"
-        config_path.write_text(json.dumps(config))
-        csv_path = cli.cmd_strategies(str(config_path))
+        config_path, csv_path = strategies_run
 
         lines = csv_path.read_text().splitlines()
         assert lines[1] == "strategies.v1,strategy,seed,mse,si_sdr_db,w2,energy_distance"
@@ -389,21 +450,23 @@ class TestCriterion10StrategyTable:
         # distortion gate on SI-SDR, the distortion column of the strategy table
         assert m2_sdr >= m1_sdr, f"M2 median SI-SDR {m2_sdr} worse than M1 {m1_sdr}"
 
-        # M5 inference succeeds with every predictor artifact removed
+        # M5 inference succeeds with every predictor artifact removed, in a
+        # copy of the run that the other criteria read
+        run_dir = shutil.copytree(csv_path.parent, tmp_path / "strategies")
         cfg = load_config(config_path)
         xs, ys, reference = cli.make_eval_set(cfg, e["seeds"][0])
         for seed in e["seeds"]:
-            (tmp_path / "strategies" / f"seed_{seed}" / "predictor.json").unlink()
+            (run_dir / f"seed_{seed}" / "predictor.json").unlink()
         method, rep = cli.evaluate_checkpoint_file(
             cfg,
-            tmp_path / "strategies" / f"seed_{e['seeds'][0]}" / "model_M5.json",
+            run_dir / f"seed_{e['seeds'][0]}" / "model_M5.json",
             xs, ys, reference, e["seeds"][0],
         )
         assert method == "M5" and np.isfinite(rep.mse)
         with pytest.raises(cli.CheckpointMismatchError):
             cli.evaluate_checkpoint_file(
                 cfg,
-                tmp_path / "strategies" / f"seed_{e['seeds'][0]}" / "model_M2.json",
+                run_dir / f"seed_{e['seeds'][0]}" / "model_M2.json",
                 xs, ys, reference, e["seeds"][0],
             )
         report(
@@ -447,7 +510,7 @@ class TestCriterion11Determinism:
         assert hashes_a == hashes_b
 
         def log_without_wall_time(out):
-            body = cli.csv_body(out / "seed_3" / "training_log_Joint.csv")
+            body = csv_body(out / "seed_3" / "training_log_Joint.csv")
             return "\n".join(",".join(line.split(",")[:-1]) for line in body.splitlines())
 
         assert log_without_wall_time(tmp_path / "a") == log_without_wall_time(tmp_path / "b")
@@ -460,11 +523,11 @@ class TestCriterion11Determinism:
             str(config_path), [str(tmp_path / "b" / "seed_3" / "model_Joint.json")],
             "1,2,5", str(tmp_path / "sb"),
         )
-        assert cli.csv_body(sweep_a) == cli.csv_body(sweep_b)
+        assert csv_body(sweep_a) == csv_body(sweep_b)
 
         abl_a = cli.cmd_ablation(str(config_path), str(tmp_path / "aa"))
         abl_b = cli.cmd_ablation(str(config_path), str(tmp_path / "ab"))
-        assert cli.csv_body(abl_a) == cli.csv_body(abl_b)
+        assert csv_body(abl_a) == csv_body(abl_b)
 
         exp_a = cli.cmd_exposure_bias(
             str(config_path), [str(tmp_path / "a" / "seed_3" / "model_Joint.json")], str(tmp_path / "ea")
@@ -472,11 +535,11 @@ class TestCriterion11Determinism:
         exp_b = cli.cmd_exposure_bias(
             str(config_path), [str(tmp_path / "b" / "seed_3" / "model_Joint.json")], str(tmp_path / "eb")
         )
-        assert cli.csv_body(exp_a) == cli.csv_body(exp_b)
+        assert csv_body(exp_a) == csv_body(exp_b)
 
         data_a = cli.cmd_dump_dataset(str(config_path), str(tmp_path / "da"))
         data_b = cli.cmd_dump_dataset(str(config_path), str(tmp_path / "db"))
-        assert cli.csv_body(data_a) == cli.csv_body(data_b)
+        assert csv_body(data_a) == csv_body(data_b)
         report(
             11,
             "repeated runs: identical checkpoint hashes; byte-identical CSV bodies for sweep, "

@@ -20,6 +20,8 @@ from bridgelab.metrics import prediction_errors
 from bridgelab.model import ModelParameters, load_checkpoint, predictor_spec, save_checkpoint
 from bridgelab.seeding import named_stream
 
+from artifacts import csv_body
+
 TINY = {
     "task": {"kind": "mixture", "dim": 1, "noise_var": 0.1},
     "schedule": {},
@@ -136,13 +138,20 @@ class TestTrainCommand:
         assert code == cli.EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
-    def test_divergence_exit_code(self, tmp_path):
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second line on stderr
+    def test_divergence_exit_code(self, tmp_path, capsys):
+        # the output directory is created at the first write, and the predictor diverges before it
         doc = json.loads(json.dumps(TINY))
         doc["task"] = {"kind": "mixture", "dim": 1, "centers": [-1e200, 1e200]}
         path = tmp_path / "diverge.json"
         path.write_text(json.dumps(doc))
-        code = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
-        assert code == cli.EXIT_DIVERGENCE
+        for command in ("train", "strategies"):
+            out = tmp_path / f"o_{command}"
+            code = cli.main([command, "--config", str(path), "--out", str(out)])
+            assert code == cli.EXIT_DIVERGENCE
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("training diverged: predictor training diverged")
+            assert not out.exists()
 
 
 class TestSweepCommand:
@@ -399,14 +408,14 @@ class TestCsvDeterminism:
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         a = cli.cmd_ablation(str(tiny_config), str(out_a))
         b = cli.cmd_ablation(str(tiny_config), str(out_b))
-        assert cli.csv_body(a) == cli.csv_body(b)
+        assert csv_body(a) == csv_body(b)
 
     def test_timestamp_line_excluded_from_body(self, tiny_config, tmp_path):
         out = tmp_path / "run"
         path = cli.cmd_dump_dataset(str(tiny_config), str(out))
         text = path.read_text()
         assert text.startswith("# generated: ")
-        assert not cli.csv_body(path).startswith("#")
+        assert not csv_body(path).startswith("#")
 
 
 class TestOdeSamplerConfig:
@@ -423,7 +432,7 @@ class TestOdeSamplerConfig:
         sweep_b = cli.cmd_sweep_steps(
             str(ode_cfg), [str(out / "seed_3" / "model_Joint.json")], "1,3", str(tmp_path / "ob")
         )
-        assert cli.csv_body(sweep_a) == cli.csv_body(sweep_b)
+        assert csv_body(sweep_a) == csv_body(sweep_b)
 
 
 class TestEntryPoint:
@@ -576,5 +585,5 @@ class TestCheckpointFuzz:
             else:
                 # the rows name the method by the string the checkpoint stores
                 csv = out / ("sweep_steps.csv" if command == "sweep-steps" else "exposure_bias.csv")
-                rows = cli.csv_body(csv).splitlines()[1:]
+                rows = csv_body(csv).splitlines()[1:]
                 assert rows and {r.split(",")[1] for r in rows} == {json.loads(bridge.read_text())["meta"]["method"]}

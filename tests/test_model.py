@@ -119,6 +119,10 @@ class TestForward:
             forward(params, spec, np.zeros(2), 0.5, np.zeros(2))
         with pytest.raises(ValueError, match="batch mismatch"):
             assemble_inputs(spec, np.zeros((1, 2)), 0.5, np.zeros(2))
+        predictor = init_params(predictor_spec(2, hidden=(4,)), np.random.default_rng(6))
+        for shape in [(2,), (), (1, 1, 2)]:
+            with pytest.raises(ValueError, match=r"\(B, input_dim\) batch"):
+                apply_mlp(predictor, np.zeros(shape))
 
 
 class TestLossAndGradients:
@@ -300,6 +304,19 @@ class TestTimeEmbedding:
             np.testing.assert_array_equal(time_embedding(ts, pairs), expected)
         with pytest.raises(ValueError):
             _time_frequencies(pairs)[0] = 2.0
+
+    @pytest.mark.parametrize("pairs", [0, 1, 8])
+    def test_shared_time_embedded_once_matches_per_row(self, pairs):
+        # assemble_inputs embeds a scalar t once and broadcasts it; the rows
+        # must be the bits of embedding the time row by row
+        spec = bridge_model_spec(1, hidden=(4,), time_embed_pairs=pairs)
+        rng = np.random.default_rng(23)
+        for batch in (1, 3, 16, 513):
+            x = rng.standard_normal((batch, 1))
+            ts = rng.uniform(0.0, 1.0, batch)
+            for t in (float(ts[0]), np.float64(ts[0]), np.array(ts[0]), ts):
+                per_row = time_embedding(np.broadcast_to(np.asarray(t), (batch,)), pairs)
+                np.testing.assert_array_equal(assemble_inputs(spec, x, t, x)[:, 2:], per_row)
 
     def test_assemble_width_check(self):
         spec = bridge_model_spec(2, hidden=(4,), time_embed_pairs=8)
