@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,14 +248,62 @@ class TestEnergyDistance:
         assert energy_distance(a, b) == pytest.approx(direct, abs=1e-12)
 
 
-def expanded_square_mean_distance(a, b, block=512):
-    """The pairwise kernel as first written: one expanded-square expression per block."""
-    total = 0.0
-    for start in range(0, a.shape[0], block):
-        chunk = a[start : start + block]
-        d2 = np.sum(chunk**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :] - 2.0 * chunk @ b.T
-        total += np.sqrt(np.maximum(d2, 0.0)).sum()
-    return total / (a.shape[0] * b.shape[0])
+def direct_mean_distance(a, b):
+    """Mean ||a_i - b_j|| from explicit difference vectors, one row of a at a time."""
+    return float(np.mean([np.sqrt(np.sum((row - b) ** 2, axis=1)).mean() for row in a]))
+
+
+class TestPairwiseKernels:
+    """The tiled kernels against explicit pairwise differences, at a tolerance set from float64 rounding."""
+
+    @pytest.fixture(scope="class", params=[2, 4, 7])
+    def reference(self, request):
+        return np.random.default_rng(40 + request.param).standard_normal((2048, request.param))
+
+    @pytest.mark.parametrize("rows", [1, 31, 32, 33, 511, 512, 513, 2048])
+    def test_cross_kernel_matches_explicit_differences(self, reference, rows):
+        outputs = 0.8 * np.random.default_rng(rows).standard_normal((rows, reference.shape[1])) + 0.1
+        expected = direct_mean_distance(outputs, reference)
+        assert metrics._mean_pairwise_distance(outputs, reference) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("rows", [1, 31, 32, 33, 511, 512, 513, 2048])
+    def test_self_kernel_equals_cross_kernel_on_a_copy(self, reference, rows):
+        samples = reference[:rows]
+        cross = metrics._mean_pairwise_distance(samples, samples.copy())
+        # A diagonal term's d2 = 2 x.x - 2 x.x rounds to a few ulps of |x|^2 instead of 0, and
+        # GEMMs of different tile shapes round it differently: allow each one its square root.
+        diagonal = np.sqrt(4 * np.finfo(float).eps * np.max(np.sum(samples**2, axis=1))) / rows
+        assert metrics._mean_self_distance(samples) == pytest.approx(cross, rel=1e-12, abs=diagonal)
+
+    def test_one_row_self_term_is_zero(self):
+        # small integers: every product and sum is exact, so the diagonal is exactly 0
+        for d in (2, 4, 7):
+            assert metrics._mean_self_distance(np.arange(1.0, d + 1.0)[None, :]) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_row_gives_non_finite_result(self, bad):
+        samples = np.random.default_rng(41).standard_normal((100, 4))
+        samples[70, 2] = bad  # in the last tile, so only columns right of the diagonal see it
+        reference = np.random.default_rng(42).standard_normal((64, 4))
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(metrics._mean_pairwise_distance(samples, reference))
+            assert not np.isfinite(metrics._mean_self_distance(samples))
+            assert not np.isfinite(energy_distance(samples, reference))
+            assert not np.isfinite(energy_distance(reference, samples))
+
+    @pytest.mark.parametrize("rows", [512, 2048])
+    def test_peak_allocation_stays_within_two_tiles(self, rows):
+        # two 32 x 2048 float64 tile buffers take 1 MiB; one 512-row block took 16 MiB
+        reference = np.random.default_rng(43).standard_normal((2048, 4))
+        outputs = reference[:rows].copy()
+        for kernel, args in ((metrics._mean_pairwise_distance, (outputs, reference)), (metrics._mean_self_distance, (outputs,))):
+            tracemalloc.start()
+            try:
+                kernel(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20
 
 
 class TestReferenceSet:
@@ -275,30 +324,28 @@ class TestReferenceSet:
             assert moment_w2(outputs, prepared) == moment_w2(outputs, reference)
             assert perception_distance(outputs, prepared) == perception_distance(outputs, reference)
 
-    @pytest.mark.parametrize("rows", [1, 511, 512, 513, 1025, 2048])
-    def test_in_place_kernel_equals_expanded_square(self, prepared, rows):
-        reference, _ = prepared
-        outputs = np.random.default_rng(32).standard_normal((rows, 4))
-        assert metrics._mean_pairwise_distance(outputs, reference) == expanded_square_mean_distance(
-            outputs, reference
-        )
-
     def test_self_term_computed_once(self, prepared, monkeypatch):
         reference, _ = prepared
         calls = []
-        kernel = metrics._mean_pairwise_distance
 
-        def counting(a, b):
-            calls.append((a.shape[0], b.shape[0]))
-            return kernel(a, b)
+        def counting(name):
+            kernel = getattr(metrics, name)
 
-        monkeypatch.setattr(metrics, "_mean_pairwise_distance", counting)
+            def wrapped(*args):
+                calls.append((name, *(a.shape[0] for a in args)))
+                return kernel(*args)
+
+            return wrapped
+
+        for name in ("_mean_pairwise_distance", "_mean_self_distance"):
+            monkeypatch.setattr(metrics, name, counting(name))
         ref = ReferenceSet(reference)
         outputs = np.random.default_rng(33).standard_normal((512, 4))
         for _ in range(3):
             perception_distance(outputs, ref)
-        assert calls.count((2048, 2048)) == 1
-        assert len(calls) == 1 + 3 * 2  # the spread once, then cross and output self-term per call
+        # the spread once, then per call the cross term and the output self-term
+        cross, own = ("_mean_pairwise_distance", 512, 2048), ("_mean_self_distance", 512)
+        assert calls == [cross, own, ("_mean_self_distance", 2048)] + [cross, own] * 2
 
     def test_samples_are_a_read_only_copy(self, prepared):
         reference, _ = prepared
