@@ -283,7 +283,7 @@ class TestPairwiseKernels:
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_row_gives_non_finite_result(self, bad):
         samples = np.random.default_rng(41).standard_normal((100, 4))
-        samples[70, 2] = bad  # in the last tile, so only columns right of the diagonal see it
+        samples[70, 2] = bad  # past the first tiles, which reach it only as a column right of their diagonal
         reference = np.random.default_rng(42).standard_normal((64, 4))
         with np.errstate(invalid="ignore"):
             assert not np.isfinite(metrics._mean_pairwise_distance(samples, reference))
@@ -293,10 +293,11 @@ class TestPairwiseKernels:
 
     @pytest.mark.parametrize("rows", [512, 2048])
     def test_peak_allocation_stays_within_two_tiles(self, rows):
-        # two 32 x 2048 float64 tile buffers take 1 MiB; one 512-row block took 16 MiB
+        # two 32 x 2048 float64 tile buffers take 1 MiB; a 512-row block would take 16 MiB
         reference = np.random.default_rng(43).standard_normal((2048, 4))
         outputs = reference[:rows].copy()
-        for kernel, args in ((metrics._mean_pairwise_distance, (outputs, reference)), (metrics._mean_self_distance, (outputs,))):
+        calls = ((metrics._mean_pairwise_distance, (outputs, reference)), (metrics._mean_self_distance, (outputs,)))
+        for kernel, args in calls:
             tracemalloc.start()
             try:
                 kernel(*args)
