@@ -283,9 +283,12 @@ def train(
 
         # validation with the EMA weights, mirroring the strategy's inference mode
         starts, conditions = inference_endpoints(conditioning, val_ys, x_star_fn)
-        _, _, preds = sample_trajectory_batch(
-            make_bridge_predictor(ema.shadow, spec), starts, conditions, sampler, schedule, rng
-        )
+        try:
+            _, _, preds = sample_trajectory_batch(
+                make_bridge_predictor(ema.shadow, spec), starts, conditions, sampler, schedule, rng
+            )
+        except ValueError as exc:  # forward's non-finite network input part-way through
+            raise DivergenceError(f"validation at epoch {epoch} failed: {exc}") from exc
         finals = preds[-1]
         val_mse = mse(finals, val_xs)
         val_w2, _ = perception_distance(finals, reference)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from bridgelab import cli
+from bridgelab import cli, training
 from bridgelab.config import load_config
 from bridgelab.metrics import prediction_errors
 from bridgelab.model import ModelParameters, load_checkpoint, predictor_spec, save_checkpoint
@@ -152,6 +152,23 @@ class TestTrainCommand:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("training diverged: predictor training diverged")
             assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second line on stderr
+    def test_non_finite_validation_input_exit_code(self, tmp_path, capsys, monkeypatch):
+        # an inf start row stops at forward's finite-input check inside the first validation pass
+        sample = training.sample_trajectory_batch
+
+        def poisoned(predictor, starts, *args):
+            starts = starts.copy()
+            starts[0, 0] = np.inf
+            return sample(predictor, starts, *args)
+
+        monkeypatch.setattr(training, "sample_trajectory_batch", poisoned)
+        config = Path(__file__).resolve().parents[1] / "configs" / "smoke.json"
+        code = cli.main(["train", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_DIVERGENCE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("training diverged: validation at epoch 0")
 
 
 class TestSweepCommand:
