@@ -35,6 +35,7 @@ from .training import (
     ConditioningStrategy,
     DivergenceError,
     TrainingStrategy,
+    W2_SELECTION_GUARD,
     inference_endpoints,
     make_bridge_predictor,
     train,
@@ -71,17 +72,6 @@ def write_csv(path: Path, schema: str, columns: list[str], rows: list[list]) -> 
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def _make_out_dir(path: str | Path) -> Path:
-    """Create an output directory just before the first file is written into
-    it, so a run that fails earlier leaves nothing behind."""
-    out = Path(path)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # training orchestration
 
@@ -92,7 +82,7 @@ def _method_label(strategy: TrainingStrategy, conditioning: ConditioningStrategy
 
 def train_predictor_for_seed(cfg: ExperimentConfig, seed: int, seed_dir: Path) -> tuple[ModelParameters, Path]:
     params = train_predictor(cfg.task, cfg.predictor_spec, cfg.train, named_stream(seed, "predictor"))
-    path = _make_out_dir(seed_dir) / "predictor.json"  # each seed's first file
+    path = seed_dir / "predictor.json"
     save_checkpoint(
         path,
         cfg.predictor_spec,
@@ -113,7 +103,7 @@ def train_bridge_for_seed(
     label: str | None = None,
 ) -> Path:
     train_cfg = replace(cfg.train, strategy=strategy, conditioning=conditioning)
-    params, ema, log = train(
+    params, log, selected_epoch = train(
         cfg.task,
         cfg.bridge_spec,
         train_cfg,
@@ -128,7 +118,6 @@ def train_bridge_for_seed(
         path,
         cfg.bridge_spec,
         params,
-        ema=ema,
         seed_lineage={"master_seed": seed, "stream": "train"},
         meta={
             "role": "bridge",
@@ -138,6 +127,12 @@ def train_bridge_for_seed(
             "seed": seed,
             "task_dim": cfg.task.dim,
             "predictor_file": "predictor.json",
+            "selected_epoch": selected_epoch,
+            "stopped_epoch": log[-1]["epoch"] if log else None,
+            "selection_rule": (
+                f"EMA snapshot with the lowest val_w2 among epochs whose val_mse <= {W2_SELECTION_GUARD}"
+                " x the best val_mse so far"
+            ),
         },
     )
     write_csv(
@@ -157,7 +152,7 @@ def _read_checkpoint(path: Path) -> dict:
     """Load a checkpoint whose evaluated weights are all finite."""
     try:
         ckpt = load_checkpoint(path)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CheckpointMismatchError(f"unreadable checkpoint {path}: {exc}") from exc
     if not np.isfinite(ckpt["params"].flat).all():
         raise CheckpointMismatchError(f"checkpoint {path} has non-finite parameters")
@@ -350,7 +345,7 @@ def cmd_sweep_steps(
             report = evaluate_bridge(cfg, ckpt, xs, ys, reference, eval_seed, n, predictor_fn)
             print(f"[sweep] {method} steps={n} mse={report.mse:.5f} w2={report.w2:.5f}")
             rows.append([method, n, report.mse, report.si_sdr_db, report.w2, report.energy_distance])
-    out_path = _make_out_dir(cfg.out_dir) / "sweep_steps.csv"
+    out_path = Path(cfg.out_dir) / "sweep_steps.csv"
     write_csv(out_path, "sweep.v1", ["method", "steps", "mse", "si_sdr_db", "w2", "energy_distance"], rows)
     print(f"[sweep] wrote {out_path}")
     return out_path
@@ -379,7 +374,7 @@ def cmd_exposure_bias(
                 _require_finite(f"{method} exposure step {i + 1}", pred_err=err, mse=step_mse, w2=w2)
                 rows.append([method, i + 1, float(times[i]), err, step_mse, w2])
         print(f"[exposure] {method}: final pred_err={rows[-1][3]:.5f}")
-    out_path = _make_out_dir(cfg.out_dir) / "exposure_bias.csv"
+    out_path = Path(cfg.out_dir) / "exposure_bias.csv"
     write_csv(out_path, "exposure.v1", ["method", "step", "t", "pred_err", "mse", "w2"], rows)
     print(f"[exposure] wrote {out_path}")
     return out_path
@@ -444,7 +439,7 @@ def cmd_dump_dataset(
     d, m = xs.shape[1], ys.shape[1]
     columns = [f"x{i}" for i in range(d)] + [f"y{i}" for i in range(m)] + [f"x_star{i}" for i in range(d)]
     rows = [list(xs[i]) + list(ys[i]) + list(x_stars[i]) for i in range(len(xs))]
-    out_path = _make_out_dir(cfg.out_dir) / "dataset.csv"
+    out_path = Path(cfg.out_dir) / "dataset.csv"
     write_csv(out_path, "dataset.v1", columns, rows)
     print(f"[dump-dataset] wrote {out_path} ({len(rows)} rows)")
     return out_path
@@ -490,6 +485,9 @@ def main(argv: list[str] | None = None) -> int:
         args.run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # reads report their own errors, so this is an output write
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)

@@ -83,7 +83,8 @@ class ModelParameters:
     `flat` holds w0, b0, w1, b1, ... in the order of `layer_dims`, zeros when
     omitted; `weights[i]` and `biases[i]` are reshape views into it.  Whole-model
     updates run on `flat`, per-layer code reads the views.  Parameters,
-    gradients, Adam moments and the EMA shadow all share this layout.
+    gradients, Adam moments, the EMA shadow and a checkpoint's stored vectors
+    all share this layout.
     """
 
     def __init__(self, layer_dims: list[tuple[int, int]], flat: np.ndarray | None = None):
@@ -274,41 +275,21 @@ def ema_update(ema: EmaState, params: ModelParameters) -> None:
 # ---------------------------------------------------------------------------
 # checkpoint io
 
-CHECKPOINT_FORMAT = "bridgelab-checkpoint.v1"
+CHECKPOINT_FORMAT = "bridgelab-checkpoint.v2"
 
 
-def _named_views(params: ModelParameters) -> dict[str, np.ndarray]:
-    """Checkpoint names of the layer views, in file order w0, b0, w1, b1, ..."""
-    views = {}
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        views[f"w{i}"], views[f"b{i}"] = w, b
-    return views
-
-
-def _params_to_list(params: ModelParameters) -> list[dict]:
-    return [
-        {"name": name, "shape": list(a.shape), "data": a.ravel().tolist()}
-        for name, a in _named_views(params).items()
-    ]
-
-
-def _params_from_list(entries: list[dict], spec: MlpSpec, where: str) -> ModelParameters:
-    """Fill spec-shaped views; every array must be named and shaped as the spec says."""
-    params = ModelParameters(spec.layer_dims)
-    views = _named_views(params)
-    names = [e["name"] for e in entries]
-    if sorted(names) != sorted(views):
-        raise ValueError(f"{where} holds arrays {names}, the spec needs {list(views)}")
-    for e in entries:
-        view = views[e["name"]]
-        data = np.asarray(e["data"], dtype=float)
-        if list(e["shape"]) != list(view.shape) or data.shape != (view.size,):
-            raise ValueError(
-                f"{where} array {e['name']} has shape {e['shape']} and {data.size} values, "
-                f"the spec needs {list(view.shape)}"
-            )
-        view[...] = data.reshape(view.shape)
-    return params
+def _vector_from_list(data, spec: MlpSpec, where: str) -> ModelParameters:
+    """A stored flat vector: a JSON list of numbers, as many as the spec has parameters."""
+    try:
+        flat = np.array(data)
+    except ValueError:  # a ragged nesting of lists
+        flat = None
+    if flat is None or flat.ndim != 1 or flat.dtype.kind not in "fi":
+        raise ValueError(f"{where} must be a flat list of numbers")
+    try:
+        return ModelParameters(spec.layer_dims, flat.astype(float))
+    except ValueError as exc:
+        raise ValueError(f"{where} {exc}") from None
 
 
 def write_text_atomic(path: Path, text: str) -> None:
@@ -337,20 +318,19 @@ def save_checkpoint(
     seed_lineage: dict | None = None,
     meta: dict | None = None,
 ) -> None:
+    """Write a checkpoint; `adam` and `ema` are stored only when given."""
     doc = {
         "format": CHECKPOINT_FORMAT,
         "spec": asdict(spec),
-        "params": _params_to_list(params),
-        "adam": None,
-        "ema": None,
+        "params": params.flat.tolist(),
         "seed_lineage": seed_lineage or {},
         "meta": meta or {},
     }
     if adam is not None:
-        doc["adam"] = {**vars(adam), "m": _params_to_list(adam.m), "v": _params_to_list(adam.v)}
+        doc["adam"] = {**vars(adam), "m": adam.m.flat.tolist(), "v": adam.v.flat.tolist()}
     if ema is not None:
-        doc["ema"] = {**vars(ema), "shadow": _params_to_list(ema.shadow)}
-    write_text_atomic(Path(path), json.dumps(doc, indent=1, sort_keys=True))
+        doc["ema"] = {**vars(ema), "shadow": ema.shadow.flat.tolist()}
+    write_text_atomic(Path(path), json.dumps(doc, sort_keys=True) + "\n")
 
 
 def _spec_from_dict(entry: dict) -> MlpSpec:
@@ -369,12 +349,13 @@ def _spec_from_dict(entry: dict) -> MlpSpec:
 def load_checkpoint(path: str | Path) -> dict:
     """Read a checkpoint back; inverse of save_checkpoint, bit-exact."""
     doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"not a recognised checkpoint: {path}")
+    found = doc.get("format") if isinstance(doc, dict) else None
+    if found != CHECKPOINT_FORMAT:
+        raise ValueError(f"format {found!r} is not {CHECKPOINT_FORMAT}; re-run train to write one")
     spec = _spec_from_dict(doc["spec"])
     out = {
         "spec": spec,
-        "params": _params_from_list(doc["params"], spec, "params"),
+        "params": _vector_from_list(doc["params"], spec, "params"),
         "adam": None,
         "ema": None,
         "seed_lineage": doc.get("seed_lineage", {}),
@@ -383,18 +364,18 @@ def load_checkpoint(path: str | Path) -> dict:
     for key in ("seed_lineage", "meta"):
         if not isinstance(out[key], dict):
             raise ValueError(f"{key} must be an object, got {type(out[key]).__name__}")
-    if doc.get("adam"):
+    if "adam" in doc:
         a = doc["adam"]
         out["adam"] = AdamState(
-            m=_params_from_list(a["m"], spec, "adam.m"),
-            v=_params_from_list(a["v"], spec, "adam.v"),
+            m=_vector_from_list(a["m"], spec, "adam.m"),
+            v=_vector_from_list(a["v"], spec, "adam.v"),
             step=a["step"],
             learning_rate=a["learning_rate"],
             beta1=a["beta1"],
             beta2=a["beta2"],
             eps_hat=a["eps_hat"],
         )
-    if doc.get("ema"):
+    if "ema" in doc:
         e = doc["ema"]
-        out["ema"] = EmaState(shadow=_params_from_list(e["shadow"], spec, "ema.shadow"), decay=e["decay"])
+        out["ema"] = EmaState(shadow=_vector_from_list(e["shadow"], spec, "ema.shadow"), decay=e["decay"])
     return out

@@ -44,7 +44,6 @@ import numpy as np
 from .bridge import bridge_marginal, perturb
 from .metrics import ReferenceSet, mse, perception_distance
 from .model import (
-    EmaState,
     MlpSpec,
     ModelParameters,
     adam_update,
@@ -219,8 +218,11 @@ def train(
     predictor_params: ModelParameters | None,
     rng: np.random.Generator,
     sampler: SamplerConfig,
-) -> tuple[ModelParameters, EmaState, list[dict]]:
-    """Train the bridge model; returns (best EMA params, EMA state, log rows).
+) -> tuple[ModelParameters, list[dict], int | None]:
+    """Train the bridge model; returns (selected EMA params, log rows, selected epoch).
+
+    The selected epoch is None when no epoch validates and the initial EMA
+    shadow is returned.
 
     predictor_params supplies x_star estimates during training; pass None to
     train against the task's analytic posterior means instead (oracle mode,
@@ -246,7 +248,7 @@ def train(
     best_mse = np.inf
     cand_w2 = np.inf
     cand_mse = np.inf
-    cand_params = None
+    cand_params = cand_epoch = None
     stale = 0
     log: list[dict] = []
     t0 = time.perf_counter()
@@ -312,7 +314,8 @@ def train(
             cand_w2 = val_w2
             cand_mse = val_mse
             cand_params = ema.shadow.copy()
+            cand_epoch = epoch
         if stale > config.patience:
             break
 
-    return (initial_shadow if cand_params is None else cand_params), ema, log
+    return (initial_shadow if cand_params is None else cand_params), log, cand_epoch

@@ -48,9 +48,44 @@ def tiny_config(tmp_path):
     return path
 
 
-def array_entry(entries, name):
-    """The checkpoint entry of one named parameter array."""
-    return next(e for e in entries if e["name"] == name)
+def layer_slice(doc, name):
+    """Where the named array (w0, b0, w1, b1, ...) of the doc's spec lies in its flat `params`."""
+    spec = doc["spec"]
+    dims = [spec["input_dim"], *spec["hidden"], spec["output_dim"]]
+    offset = 0
+    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        for array, size in ((f"w{i}", fan_in * fan_out), (f"b{i}", fan_out)):
+            if array == name:
+                return slice(offset, offset + size)
+            offset += size
+    raise KeyError(name)
+
+
+def drop_array(doc, name):
+    s = layer_slice(doc, name)
+    doc["params"] = doc["params"][: s.start] + doc["params"][s.stop :]
+
+
+def nest_array(name):
+    """Damage that stores the named array as one list nested inside the vector."""
+
+    def damage(doc):
+        s = layer_slice(doc, name)
+        doc["params"][s] = [doc["params"][s]]
+
+    return damage
+
+
+def as_v1(doc):
+    """The same checkpoint in the v1 layout: named, shaped arrays, and `adam` and `ema` keys."""
+    spec = doc["spec"]
+    dims = [spec["input_dim"], *spec["hidden"], spec["output_dim"]]
+    arrays = []
+    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        for name, shape in ((f"w{i}", [fan_in, fan_out]), (f"b{i}", [fan_out])):
+            arrays.append({"name": name, "shape": shape, "data": doc["params"][layer_slice(doc, name)]})
+    return {**doc, "format": "bridgelab-checkpoint.v1", "params": arrays, "adam": None,
+            "ema": {"decay": 0.999, "shadow": arrays}}
 
 
 def sha256(path):
@@ -71,25 +106,24 @@ def m2_run(tmp_path_factory):
 
 def widen_predictor_input(doc):
     """A self-consistent predictor that reads two measurement coordinates."""
+    w0 = doc["params"][layer_slice(doc, "w0")]
+    doc["params"] = w0 + doc["params"]  # w0 starts the vector; a second row, equal to the first
     doc["spec"]["input_dim"] = 2
-    w0 = array_entry(doc["params"], "w0")
-    w0.update(shape=[2, w0["shape"][1]], data=w0["data"] * 2)
 
 
 def drop_predictor_layer(doc):
     """A self-consistent predictor with one hidden layer fewer than the config."""
+    for name in ("b1", "w1"):  # w2 then reads the first hidden layer, of the same width
+        drop_array(doc, name)
     doc["spec"]["hidden"] = doc["spec"]["hidden"][:1]
-    doc["params"] = [e for e in doc["params"] if e["name"] not in ("w1", "b1")]
-    for e in doc["params"]:
-        e["name"] = e["name"].replace("2", "1")
 
 
 def scale_array(name, factor):
     """Damage that multiplies one named parameter array: finite weights with non-finite outputs."""
 
     def damage(doc):
-        entry = array_entry(doc["params"], name)
-        entry["data"] = [v * factor for v in entry["data"]]
+        s = layer_slice(doc, name)
+        doc["params"][s] = [v * factor for v in doc["params"][s]]
 
     return damage
 
@@ -97,8 +131,8 @@ def scale_array(name, factor):
 def saturate_head(doc):
     """Output layer weights and biases at 1e308, so outputs overflow part-way through sampling."""
     for name in ("w2", "b2"):
-        entry = array_entry(doc["params"], name)
-        entry["data"] = [1e308] * len(entry["data"])
+        s = layer_slice(doc, name)
+        doc["params"][s] = [1e308] * (s.stop - s.start)
 
 
 class TestTrainCommand:
@@ -265,13 +299,13 @@ class TestCheckpointValidation:
             ("model_M2.json", lambda d: d["meta"].pop("conditioning")),
             ("model_M2.json", lambda d: d["meta"].pop("method")),
             ("model_M2.json", lambda d: d["meta"].update(conditioning="M9")),
-            ("model_M2.json", lambda d: d["params"][0]["data"].__setitem__(0, float("nan"))),
-            ("predictor.json", lambda d: d["params"][1]["data"].__setitem__(0, float("inf"))),
-            ("model_M2.json", lambda d: array_entry(d["params"], "w1").update(shape=[4, 16])),
-            ("model_M2.json", lambda d: d["params"].remove(array_entry(d["params"], "b2"))),
-            ("model_M2.json", lambda d: d["params"].append(dict(array_entry(d["params"], "w2"), name="w3"))),
-            ("model_M2.json", lambda d: array_entry(d["ema"]["shadow"], "b0")["data"].pop()),
-            ("predictor.json", lambda d: d["params"].remove(array_entry(d["params"], "w0"))),
+            ("model_M2.json", lambda d: d["params"].__setitem__(0, float("nan"))),
+            ("predictor.json", lambda d: d["params"].__setitem__(layer_slice(d, "b0").start, float("inf"))),
+            ("model_M2.json", nest_array("w1")),
+            ("model_M2.json", lambda d: drop_array(d, "b2")),
+            ("model_M2.json", lambda d: d["params"].extend(d["params"][layer_slice(d, "w2")])),
+            ("model_M2.json", lambda d: d.update(ema={"decay": 0.999, "shadow": d["params"][:-1]})),
+            ("predictor.json", lambda d: drop_array(d, "w0")),
             ("predictor.json", widen_predictor_input),
             ("predictor.json", drop_predictor_layer),
             ("model_M2.json", scale_array("w2", 1e300)),
@@ -298,6 +332,36 @@ class TestCheckpointValidation:
         assert code == cli.EXIT_CHECKPOINT
         err = capsys.readouterr().err
         assert err.startswith("checkpoint error: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["sweep-steps", "exposure-bias"])
+    def test_v1_file_exit_4(self, m2_run, tmp_path, capsys, command):
+        config, ckpt = self.damaged_copy(m2_run, tmp_path, lambda d: None, "model_M2.json")
+        ckpt.write_text(json.dumps(as_v1(json.loads(ckpt.read_text())), indent=1, sort_keys=True))
+        code = cli.main([command, "--config", str(config), "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_CHECKPOINT
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error: ") and err.count("\n") == 1
+        assert "format 'bridgelab-checkpoint.v1'" in err and "re-run train" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", ["model_M2.json", "predictor.json"])
+    def test_unreadable_file_exit_4(self, m2_run, tmp_path, capsys, monkeypatch, name):
+        config, ckpt = self.damaged_copy(m2_run, tmp_path, lambda d: None, name)
+        read_text = Path.read_text
+
+        def denied(path, *args, **kwargs):
+            if path.name == name:
+                raise PermissionError(13, "Permission denied", str(path))
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        code = cli.main(["sweep-steps", "--config", str(config), "--checkpoint", str(ckpt),
+                         "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_CHECKPOINT
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error: unreadable checkpoint ") and err.count("\n") == 1
+        assert "Permission denied" in err
         assert not (tmp_path / "o").exists()
 
 
@@ -420,6 +484,32 @@ class TestAtomicWrites:
         assert [p.name for p in path.parent.iterdir()] == ["target"]
 
 
+class TestOutputWriteFails:
+    """A directory where an output file goes ends in exit 2 with one line, not a traceback."""
+
+    def test_train_predictor_file(self, tiny_config, tmp_path, capsys):
+        out = tmp_path / "run"
+        (out / "seed_3" / "predictor.json").mkdir(parents=True)
+        code = cli.main(["train", "--config", str(tiny_config), "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1, err
+        assert "predictor.json" in err
+        assert [p.name for p in (out / "seed_3").iterdir()] == ["predictor.json"]
+
+    def test_sweep_csv(self, m2_run, tmp_path, capsys):
+        config, seed_dir = m2_run
+        out = tmp_path / "sweep"
+        (out / "sweep_steps.csv").mkdir(parents=True)
+        code = cli.main(["sweep-steps", "--config", str(config), "--checkpoint", str(seed_dir / "model_M2.json"),
+                         "--steps", "1", "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1, err
+        assert "sweep_steps.csv" in err
+        assert [p.name for p in out.iterdir()] == ["sweep_steps.csv"]
+
+
 class TestCsvDeterminism:
     def test_bodies_reproduce_exactly(self, tiny_config, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -503,11 +593,11 @@ class TestUnusableSettingsExit2:
 
 SMOKE = Path(__file__).parents[1] / "configs" / "smoke.json"
 CHECKPOINT_WORDS = sorted(
-    {"format", "spec", "params", "adam", "ema", "seed_lineage", "meta", "name", "shape", "data", "input_dim",
-     "output_dim", "hidden", "activation", "time_embed_pairs", "tanh", "w0", "b0", "w1", "b1", "w2", "b2", "w3",
-     "role", "bridge", "predictor", "method", "strategy", "conditioning", "seed", "task_dim", "predictor_file",
-     "predictor.json", "model_Joint.json", "model_M2.json", "M1", "M2", "M5", "M9", "Joint", "shadow", "decay",
-     "m", "v", "step", "bridgelab-checkpoint.v1"}
+    {"format", "spec", "params", "adam", "ema", "seed_lineage", "meta", "input_dim", "output_dim", "hidden",
+     "activation", "time_embed_pairs", "tanh", "role", "bridge", "predictor", "method", "strategy", "conditioning",
+     "seed", "task_dim", "predictor_file", "predictor.json", "model_Joint.json", "model_M2.json", "M1", "M2", "M5",
+     "M9", "Joint", "shadow", "decay", "m", "v", "step", "selected_epoch", "stopped_epoch", "selection_rule",
+     "bridgelab-checkpoint.v1", "bridgelab-checkpoint.v2"}
 )
 CKPT_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 8), st.floats(), st.sampled_from(CHECKPOINT_WORDS), st.text(max_size=4)
@@ -538,25 +628,24 @@ def smoke_runs(tmp_path_factory):
     return runs
 
 
-def checkpoint_entries(node):
-    """(container, key) of every entry below `node`; of an array's values only the first."""
-    found = []
-    for key, value in list(node.items() if isinstance(node, dict) else enumerate(node)):
-        found.append((node, key))
-        if key == "data" and isinstance(value, list):
-            found.extend((value, i) for i in range(min(1, len(value))))
-        elif isinstance(value, (dict, list)):
-            found.extend(checkpoint_entries(value))
+def checkpoint_entries(parent, key):
+    """(parent, key) and every entry below it; of a stored vector's values only the first."""
+    value = parent[key]
+    found = [(parent, key)]
+    if key in ("params", "m", "v", "shadow") and isinstance(value, list):
+        found.extend((value, i) for i in range(min(1, len(value))))
+    elif isinstance(value, (dict, list)):
+        for child in list(value if isinstance(value, dict) else range(len(value))):
+            found.extend(checkpoint_entries(value, child))
     return found
 
 
 def mutate_checkpoint(doc, draw):
     """Change one entry of one top-level block of `doc` (the block itself included): a new
     number, any new value, deleted, or a sibling added.  Drawing the block first keeps the
-    small blocks (`meta`, `spec`) as likely as the parameter arrays."""
+    small blocks (`meta`, `spec`) as likely as the parameter vector."""
     block = draw(st.sampled_from(sorted(doc)))
-    below = checkpoint_entries(doc[block]) if isinstance(doc[block], (dict, list)) else []
-    parent, key = draw(st.sampled_from([(doc, block), *below]))
+    parent, key = draw(st.sampled_from(checkpoint_entries(doc, block)))
     action = draw(st.sampled_from(["number", "value", "delete", "add"]))
     if action == "number":
         parent[key] = draw(st.one_of(st.integers(-3, 8), st.floats(), st.booleans()))
@@ -604,3 +693,28 @@ class TestCheckpointFuzz:
                 csv = out / ("sweep_steps.csv" if command == "sweep-steps" else "exposure_bias.csv")
                 rows = csv_body(csv).splitlines()[1:]
                 assert rows and {r.split(",")[1] for r in rows} == {json.loads(bridge.read_text())["meta"]["method"]}
+
+
+class TestCheckpointLayout:
+    def test_smoke_subcommands_write_v2_files(self, tmp_path):
+        """Every checkpoint that the smoke config's subcommands write holds exactly the v2 keys, and
+        each bridge's meta says which epoch was selected, under which rule, and when training stopped."""
+        for command in (cli.cmd_train, cli.cmd_strategies, cli.cmd_ablation):
+            with contextlib.redirect_stdout(io.StringIO()):
+                command(str(SMOKE), str(tmp_path / command.__name__))
+        files = sorted(tmp_path.rglob("*.json"))
+        assert len(files) == 2 + 6 + 4
+        epochs = json.loads(SMOKE.read_text())["train"]["epochs"]
+        for path in files:
+            text = path.read_text()
+            doc = json.loads(text)
+            assert set(doc) == {"format", "spec", "params", "seed_lineage", "meta"}, path
+            assert doc["format"] == "bridgelab-checkpoint.v2" and text == json.dumps(doc, sort_keys=True) + "\n"
+            selection = {"selected_epoch", "stopped_epoch", "selection_rule"}
+            if doc["meta"]["role"] == "predictor":
+                assert not selection & set(doc["meta"])
+                continue
+            meta = doc["meta"]
+            assert meta["stopped_epoch"] == epochs - 1  # patience 20 never stops 3 epochs early
+            assert meta["selected_epoch"] in range(epochs)
+            assert f"val_mse <= {training.W2_SELECTION_GUARD} x" in meta["selection_rule"]

@@ -361,6 +361,21 @@ class TestCheckpoint:
         save_checkpoint(p2, loaded["spec"], loaded["params"])
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_layout_is_one_sorted_compact_line(self, tmp_path):
+        """Only the five v2 keys without `adam`/`ema`; params is `flat` as a list; compact sorted JSON."""
+        spec = predictor_spec(2, hidden=(4,))
+        params = init_params(spec, np.random.default_rng(24))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, spec, params, meta={"role": "predictor"})
+        text = path.read_text()
+        doc = json.loads(text)
+        assert set(doc) == {"format", "spec", "params", "seed_lineage", "meta"}
+        assert doc["format"] == "bridgelab-checkpoint.v2"
+        assert doc["params"] == params.flat.tolist()
+        assert text == json.dumps(doc, sort_keys=True) + "\n"
+        loaded = load_checkpoint(path)
+        assert loaded["adam"] is None and loaded["ema"] is None
+
     @pytest.mark.parametrize("key", ["time_embed_pairs", "activation"])
     def test_rejects_spec_with_missing_key(self, tmp_path, key):
         spec = predictor_spec(2, hidden=(4,))
@@ -374,9 +389,12 @@ class TestCheckpoint:
 
     def test_rejects_foreign_document(self, tmp_path):
         path = tmp_path / "x.json"
-        for text in ("{}", "[]", "3"):
+        spec = {"input_dim": 1, "output_dim": 1, "hidden": [1], "activation": "tanh", "time_embed_pairs": 0}
+        v1 = {"format": "bridgelab-checkpoint.v1", "spec": spec, "adam": None, "ema": None,
+              "params": [{"name": "w0", "shape": [1, 1], "data": [0.5]}]}
+        for text in ("{}", "[]", "3", json.dumps(v1, indent=1)):
             path.write_text(text)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="^format .* is not bridgelab-checkpoint.v2; re-run train"):
                 load_checkpoint(path)
 
 
@@ -537,17 +555,25 @@ def test_in_place_pass_matches_out_of_place_reference(input_dim, output_dim, hid
 
 
 class TestCheckpointArraysMatchSpec:
+    """Each stored vector of a (2, 4, 3, 2) network, 35 values: w0 8, b0 4, w1 12, b1 3, w2 6, b2 2."""
+
     @pytest.mark.parametrize("where", ["params", "adam.m", "adam.v", "ema.shadow"])
     @pytest.mark.parametrize(
         "damage",
         [
-            lambda entries: entries[2].update(shape=[3, 4]),  # w1 is 4 x 3
-            lambda entries: entries.pop(3),  # b1
-            lambda entries: entries.append(dict(entries[2], name="w9")),
-            lambda entries: entries[1]["data"].pop(),  # b0
-            lambda entries: entries[3].update(name="w1"),  # b1 renamed
+            lambda v: [v[i : i + 5] for i in range(0, len(v), 5)],  # nested, 7 rows of 5
+            lambda v: v[:24] + v[27:],  # b1 missing
+            lambda v: v + v[12:24],  # an extra w1
+            lambda v: v[:-1],
+            lambda v: v + v,
+            lambda v: v[:1] + [v[1:3]] + v[3:],  # a ragged nesting
+            lambda v: [str(v[0])] + v[1:],
+            lambda v: [None] + v[1:],
+            lambda v: [True] * len(v),
+            lambda v: {"data": v},
         ],
-        ids=["reshaped", "missing", "extra", "short-data", "duplicate"],
+        ids=["reshaped", "missing", "extra", "short-data", "duplicate", "ragged", "string-entry", "null-entry",
+             "booleans", "object"],
     )
     def test_rejects_arrays_off_spec(self, tmp_path, where, damage):
         spec = MlpSpec(input_dim=2, output_dim=2, hidden=(4, 3), time_embed_pairs=0)
@@ -555,10 +581,12 @@ class TestCheckpointArraysMatchSpec:
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, spec, params, adam=init_adam(params), ema=init_ema(params))
         doc = json.loads(path.read_text())
+        *outer, last = where.split(".")
         block = doc
-        for key in where.split("."):
+        for key in outer:
             block = block[key]
-        damage(block)
+        assert len(block[last]) == 35
+        block[last] = damage(block[last])
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=f"^{where} "):
             load_checkpoint(path)

@@ -186,18 +186,17 @@ class TestTrain:
         task, spec, cfg = self.small_setup()
         runs = []
         for _ in range(2):
-            params, ema, log = train(
+            runs.append(train(
                 task, spec, cfg, SCH, None, named_stream(8, "train"),
                 sampler=SamplerConfig(n_steps=5),
-            )
-            runs.append((params, ema, log))
+            ))
         np.testing.assert_array_equal(runs[0][0].flat, runs[1][0].flat)
-        np.testing.assert_array_equal(runs[0][1].shadow.flat, runs[1][1].shadow.flat)
-        assert [r["val_mse"] for r in runs[0][2]] == [r["val_mse"] for r in runs[1][2]]
+        assert [r["val_mse"] for r in runs[0][1]] == [r["val_mse"] for r in runs[1][1]]
+        assert runs[0][2] == runs[1][2] is not None
 
     def test_patience_zero_stops_at_first_non_improvement(self):
         task, spec, cfg = self.small_setup(epochs=40, patience=0)
-        _, _, log = train(
+        _, log, _ = train(
             task, spec, cfg, SCH, None, named_stream(9, "train"),
             sampler=SamplerConfig(n_steps=5),
         )
@@ -212,7 +211,7 @@ class TestTrain:
 
     def test_log_schema(self):
         task, spec, cfg = self.small_setup(epochs=2)
-        _, _, log = train(
+        _, log, _ = train(
             task, spec, cfg, SCH, None, named_stream(10, "train"),
             sampler=SamplerConfig(n_steps=5),
         )
@@ -278,14 +277,14 @@ class TestTrain:
         """With no epoch to validate, train returns the initial EMA shadow, as the reference's rule does."""
         task, spec, cfg = self.small_setup(epochs=0)
         assert_same_training(task, spec, cfg, None, 15, SamplerConfig(n_steps=5))
-        params, ema, log = train(task, spec, cfg, SCH, None, named_stream(15, "train"), SamplerConfig(n_steps=5))
+        params, log, selected = train(task, spec, cfg, SCH, None, named_stream(15, "train"), SamplerConfig(n_steps=5))
         np.testing.assert_array_equal(params.flat, init_params(spec, named_stream(15, "train")).flat)
-        assert log == [] and params is not ema.shadow
+        assert log == [] and selected is None
 
     def test_m2_trains_and_validates_with_predictor_endpoints(self):
         task, spec, cfg = self.small_setup(conditioning=ConditioningStrategy.M2)
         pp = init_params(predictor_spec(1, hidden=(8,)), named_stream(12, "init"))
-        params, _, log = train(
+        params, log, _ = train(
             task, spec, cfg, SCH, pp, named_stream(12, "train"),
             sampler=SamplerConfig(n_steps=5),
         )
@@ -313,9 +312,9 @@ def reference_train(task, spec, config, schedule, predictor_params, rng, sampler
 
     val_xs, val_ys = task.sample_measurements(config.validation_size, rng)
     reference = ReferenceSet(task.clean_sampler(training.VAL_REFERENCE_SIZE, rng))
-    best_mse, best_mse_params = np.inf, ema.shadow.copy()
+    best_mse, best_mse_params, best_mse_epoch = np.inf, ema.shadow.copy(), None
     cand_w2 = cand_mse = np.inf
-    cand_params = None
+    cand_params = cand_epoch = None
     stale = 0
     log = []
     for epoch in range(config.epochs):
@@ -350,17 +349,17 @@ def reference_train(task, spec, config, schedule, predictor_params, rng, sampler
         log.append({"epoch": epoch, "train_loss": loss_sum / config.steps_per_epoch,
                     "val_mse": val_mse, "val_w2": val_w2, "is_ema": 1})
         if val_mse < best_mse:
-            best_mse, best_mse_params, stale = val_mse, ema.shadow.copy(), 0
+            best_mse, best_mse_params, best_mse_epoch, stale = val_mse, ema.shadow.copy(), epoch, 0
         else:
             stale += 1
         cand_valid = cand_params is not None and cand_mse <= W2_SELECTION_GUARD * best_mse
         if val_mse <= W2_SELECTION_GUARD * best_mse and (not cand_valid or val_w2 < cand_w2):
-            cand_w2, cand_mse, cand_params = val_w2, val_mse, ema.shadow.copy()
+            cand_w2, cand_mse, cand_params, cand_epoch = val_w2, val_mse, ema.shadow.copy(), epoch
         if stale > config.patience:
             break
     if cand_params is not None and cand_mse <= W2_SELECTION_GUARD * best_mse:
-        return cand_params, ema, log
-    return best_mse_params, ema, log
+        return cand_params, log, cand_epoch
+    return best_mse_params, log, best_mse_epoch
 
 
 TASKS = {
@@ -370,12 +369,13 @@ TASKS = {
 
 
 def assert_same_training(task, spec, cfg, predictor_params, seed, sampler):
-    """train and the reference loop give bitwise-equal params, EMA and log, and leave the stream alike."""
+    """train and the reference loop give bitwise-equal params, the same selected epoch and log,
+    and leave the stream alike."""
     rng, ref_rng = named_stream(seed, "train"), named_stream(seed, "train")
-    params, ema, log = train(task, spec, cfg, SCH, predictor_params, rng, sampler=sampler)
-    ref_params, ref_ema, ref_log = reference_train(task, spec, cfg, SCH, predictor_params, ref_rng, sampler)
+    params, log, selected = train(task, spec, cfg, SCH, predictor_params, rng, sampler=sampler)
+    ref_params, ref_log, ref_selected = reference_train(task, spec, cfg, SCH, predictor_params, ref_rng, sampler)
     np.testing.assert_array_equal(params.flat, ref_params.flat)
-    np.testing.assert_array_equal(ema.shadow.flat, ref_ema.shadow.flat)
+    assert selected == ref_selected
     assert [{k: v for k, v in row.items() if k != "wall_time_s"} for row in log] == ref_log
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
