@@ -4,7 +4,7 @@ Subcommands
     train          train the predictor and one bridge model per seed
     sweep-steps    distortion/perception versus sampling-step count
     exposure-bias  per-step prediction error along the sampling trajectory
-    strategies     train and evaluate conditioning strategies M1..M5
+    strategies     train and evaluate conditioning strategies M1..M4 and M5 (Joint, M1)
     ablation       train and evaluate perturbation strategies
     dump-dataset   write sampled (x, y, x_star) triples as CSV
 
@@ -420,7 +420,9 @@ def _run_grid(
 
 
 def cmd_strategies(config_path: str, out_override: str | None = None, seed_override: int | None = None) -> Path:
+    # M5 is the paper's method: Joint perturbation with M1's routes
     units = [(c.value, TrainingStrategy.VANILLA, c) for c in ConditioningStrategy]
+    units.append(("M5", TrainingStrategy.JOINT, ConditioningStrategy.M1))
     return _run_grid("strategies", units, config_path, out_override, seed_override)
 
 

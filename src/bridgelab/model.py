@@ -284,7 +284,8 @@ def _vector_from_list(data, spec: MlpSpec, where: str) -> ModelParameters:
         flat = np.array(data)
     except ValueError:  # a ragged nesting of lists
         flat = None
-    if flat is None or flat.ndim != 1 or flat.dtype.kind not in "fi":
+    # numpy would read a JSON boolean among numbers as 0.0 or 1.0
+    if flat is None or flat.ndim != 1 or flat.dtype.kind not in "fi" or bool in map(type, data):
         raise ValueError(f"{where} must be a flat list of numbers")
     try:
         return ModelParameters(spec.layer_dims, flat.astype(float))
@@ -352,6 +353,9 @@ def load_checkpoint(path: str | Path) -> dict:
     found = doc.get("format") if isinstance(doc, dict) else None
     if found != CHECKPOINT_FORMAT:
         raise ValueError(f"format {found!r} is not {CHECKPOINT_FORMAT}; re-run train to write one")
+    unknown = sorted(set(doc) - {"format", "spec", "params", "seed_lineage", "meta", "adam", "ema"})
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}")
     spec = _spec_from_dict(doc["spec"])
     out = {
         "spec": spec,

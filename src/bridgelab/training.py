@@ -4,15 +4,14 @@ Three perturbation strategies are supported:
 
 * Vanilla:   states from the plain bridge marginal, targets are the clean x.
 * InputOnly: states from the perturbed marginal, targets still the clean x.
-* Joint:     both the state and the target are perturbed (the regularized
-             variant).
+* Joint:     both the state and the target are perturbed.
 
 Independently, a conditioning strategy picks what the bridge endpoint and
-the network condition are (the measurement y or the predictor output), and
-whether the regularized objective is forced on:
+the network condition are, the measurement y or the predictor output x_star:
 
-    M1 = (y, y, off)   M2 = (x_star, y, off)   M3 = (y, x_star, off)
-    M4 = (x_star, x_star, off)                 M5 = (y, y, on)
+    M1 = (y, y)   M2 = (x_star, y)   M3 = (y, x_star)   M4 = (x_star, x_star)
+
+The paper's method, reported as M5 in the strategies table, is Joint with M1.
 
 Early stopping monitors validation MSE (the distortion surrogate); the
 returned checkpoint is the EMA snapshot with the best validation perception
@@ -83,23 +82,17 @@ class TrainingStrategy(Enum):
 
 
 class ConditioningStrategy(Enum):
-    M1 = "M1"
-    M2 = "M2"
-    M3 = "M3"
-    M4 = "M4"
-    M5 = "M5"
+    """Each member names one route: (value, bridge endpoint, network condition)."""
 
-    @property
-    def bridge_endpoint(self) -> str:
-        return {"M1": "y", "M2": "x_star", "M3": "y", "M4": "x_star", "M5": "y"}[self.value]
+    M1 = "M1", "y", "y"
+    M2 = "M2", "x_star", "y"
+    M3 = "M3", "y", "x_star"
+    M4 = "M4", "x_star", "x_star"
 
-    @property
-    def condition(self) -> str:
-        return {"M1": "y", "M2": "y", "M3": "x_star", "M4": "x_star", "M5": "y"}[self.value]
-
-    @property
-    def regularized(self) -> bool:
-        return self.value == "M5"
+    def __new__(cls, value: str, bridge_endpoint: str, condition: str):
+        member = object.__new__(cls)
+        member._value_, member.bridge_endpoint, member.condition = value, bridge_endpoint, condition
+        return member
 
     @property
     def needs_predictor_at_inference(self) -> bool:
@@ -121,11 +114,6 @@ class TrainConfig:
             raise ValueError("training counts must be positive (epochs may be 0)")
         if self.patience < 0 or self.validation_size < 1:
             raise ValueError("patience must be >= 0 and validation_size >= 1")
-
-    @property
-    def effective_strategy(self) -> TrainingStrategy:
-        """The perturbation mode actually trained, after the conditioning flag."""
-        return TrainingStrategy.JOINT if self.conditioning.regularized else self.strategy
 
 
 def batch_inputs(
@@ -194,7 +182,7 @@ def inference_endpoints(
     """(starts, conditions) for sampling under a conditioning strategy.
 
     x_star_fn maps a batch of measurements to predictor outputs; it is only
-    called when the strategy actually needs it, so strategies M1/M5 run with
+    called when the strategy actually needs it, so strategy M1 runs with
     x_star_fn = None.
     """
     starts = ys
@@ -228,8 +216,7 @@ def train(
     train against the task's analytic posterior means instead (oracle mode,
     used in tests).
     """
-    strategy = config.effective_strategy
-    conditioning = config.conditioning
+    strategy, conditioning = config.strategy, config.conditioning
 
     params = init_params(spec, rng)
     adam = init_adam(params)
@@ -268,8 +255,7 @@ def train(
                 draws.append((xs, ys, ts, rng.standard_normal(xs.shape)))
             xs, ys, ts, noise = (np.concatenate(parts) for parts in zip(*draws))
             x_stars = x_star_fn(ys)
-            endpoints = x_stars if conditioning.bridge_endpoint == "x_star" else ys
-            conditions = x_stars if conditioning.condition == "x_star" else ys
+            endpoints, conditions = inference_endpoints(conditioning, ys, lambda _: x_stars)
             inputs, targets = batch_inputs(spec, xs, endpoints, conditions, x_stars, ts, noise, strategy, schedule)
             for k in range(n_steps):
                 rows = slice(k * batch, (k + 1) * batch)

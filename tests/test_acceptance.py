@@ -296,8 +296,8 @@ def train_head_to_head_bridge(e: dict, seed: int, strategy: TrainingStrategy, pr
 
 
 # The strategies run's units that are head-to-head trainings (asserted by
-# TestSharedUnits): Vanilla/M1 is M1, and Joint/M1 is M5, whose regularized
-# flag forces Joint with the same y endpoint and condition.
+# TestSharedUnits): M1 is Vanilla/M1, and M5 is the strategies table's
+# Joint/M1 row.
 SHARED_UNITS = {"predictor": "predictor.json", "Vanilla": "model_M1.json", "Joint": "model_M5.json"}
 
 

@@ -316,13 +316,16 @@ class TestCheckpointValidation:
             ("model_M2.json", lambda d: d["meta"].update(predictor_file=5)),
             ("model_M2.json", lambda d: d["meta"].update(method=["M2"])),
             ("model_M2.json", lambda d: d["spec"].update(time_embed_pairs=float(d["spec"]["time_embed_pairs"]))),
+            ("model_M2.json", lambda d: d["params"].__setitem__(1, True)),
+            ("predictor.json", lambda d: d["params"].__setitem__(0, False)),
+            ("model_M2.json", lambda d: d["meta"].update(conditioning="M5")),
         ],
         ids=[
             "no-conditioning", "no-method", "bad-conditioning", "nan-bridge", "inf-predictor",
             "w1-reshaped", "b2-missing", "extra-w3", "ema-b0-short", "predictor-no-w0",
             "predictor-wide-input", "predictor-other-hidden", "w2-overflow", "head-saturated",
             "predictor-head-saturated", "meta-list", "meta-null", "predictor-file-number", "method-list",
-            "embed-pairs-float",
+            "embed-pairs-float", "params-bool", "predictor-params-bool", "conditioning-M5",
         ],
     )
     @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second line on stderr
@@ -343,6 +346,17 @@ class TestCheckpointValidation:
         err = capsys.readouterr().err
         assert err.startswith("checkpoint error: ") and err.count("\n") == 1
         assert "format 'bridgelab-checkpoint.v1'" in err and "re-run train" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", ["model_M2.json", "predictor.json"])
+    def test_unknown_top_level_key_exit_4(self, m2_run, tmp_path, capsys, name):
+        config, ckpt = self.damaged_copy(m2_run, tmp_path, lambda d: d.update(shadow=d["params"]), name)
+        code = cli.main(["sweep-steps", "--config", str(config), "--checkpoint", str(ckpt),
+                         "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_CHECKPOINT
+        err = capsys.readouterr().err
+        assert err.startswith("checkpoint error: ") and err.count("\n") == 1
+        assert "unknown keys ['shadow']" in err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name", ["model_M2.json", "predictor.json"])
@@ -695,6 +709,14 @@ class TestCheckpointFuzz:
                 assert rows and {r.split(",")[1] for r in rows} == {json.loads(bridge.read_text())["meta"]["method"]}
 
 
+# (strategy, conditioning) that each bridge of the smoke config's subcommands trains, by method label
+TRAINED_PAIRS = {
+    **{f"M{k}": ("Vanilla", f"M{k}") for k in range(1, 5)},
+    "M5": ("Joint", "M1"),
+    **{s: (s, "M1") for s in ("Vanilla", "InputOnly", "Joint")},
+}
+
+
 class TestCheckpointLayout:
     def test_smoke_subcommands_write_v2_files(self, tmp_path):
         """Every checkpoint that the smoke config's subcommands write holds exactly the v2 keys, and
@@ -715,6 +737,7 @@ class TestCheckpointLayout:
                 assert not selection & set(doc["meta"])
                 continue
             meta = doc["meta"]
+            assert (meta["strategy"], meta["conditioning"]) == TRAINED_PAIRS[meta["method"]], path
             assert meta["stopped_epoch"] == epochs - 1  # patience 20 never stops 3 epochs early
             assert meta["selected_epoch"] in range(epochs)
             assert f"val_mse <= {training.W2_SELECTION_GUARD} x" in meta["selection_rule"]

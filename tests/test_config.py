@@ -123,6 +123,7 @@ class TestLoadConfig:
             lambda d: d["model"].update({"hidden": [16, 0]}),
             lambda d: d["model"].update({"time_embed_pairs": -1}),
             lambda d: d["sampler"].update({"grid": "chebyshev"}),
+            lambda d: d["train"].update({"conditioning": "M5"}),
         ],
         ids=[
             "epochs-float", "epochs-bool", "batch-integral-float", "patience-bool", "n_steps-float",
@@ -130,7 +131,7 @@ class TestLoadConfig:
             "model-scalar", "train-list", "task-list", "c-bool", "k-nan", "t_eps-string",
             "noise_var-bool", "center-bool", "weight-inf", "centers-scalar", "s2-inf", "prior_var-bool",
             "linear-noise_var-inf", "seed-negative", "out_dir-null", "out_dir-empty",
-            "hidden-zero", "embed-negative", "grid-not-uniform",
+            "hidden-zero", "embed-negative", "grid-not-uniform", "conditioning-M5",
         ],
     )
     def test_counts_and_blocks_must_be_typed(self, tmp_path, capsys, mutate):

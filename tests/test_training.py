@@ -42,24 +42,19 @@ SCH = NoiseSchedule()
 class TestStrategies:
     def test_conditioning_flags(self):
         table = {
-            ConditioningStrategy.M1: ("y", "y", False),
-            ConditioningStrategy.M2: ("x_star", "y", False),
-            ConditioningStrategy.M3: ("y", "x_star", False),
-            ConditioningStrategy.M4: ("x_star", "x_star", False),
-            ConditioningStrategy.M5: ("y", "y", True),
+            ConditioningStrategy.M1: ("y", "y"),
+            ConditioningStrategy.M2: ("x_star", "y"),
+            ConditioningStrategy.M3: ("y", "x_star"),
+            ConditioningStrategy.M4: ("x_star", "x_star"),
         }
-        for strat, (endpoint, condition, regularized) in table.items():
+        assert list(table) == list(ConditioningStrategy)
+        for strat, (endpoint, condition) in table.items():
             assert strat.bridge_endpoint == endpoint
             assert strat.condition == condition
-            assert strat.regularized is regularized
-
-    def test_m5_forces_joint(self):
-        cfg = TrainConfig(strategy=TrainingStrategy.VANILLA, conditioning=ConditioningStrategy.M5)
-        assert cfg.effective_strategy is TrainingStrategy.JOINT
 
     def test_inference_endpoints_dependency_contract(self):
         ys = np.ones((4, 2))
-        starts, conds = inference_endpoints(ConditioningStrategy.M5, ys, None)
+        starts, conds = inference_endpoints(ConditioningStrategy.M1, ys, None)
         np.testing.assert_array_equal(starts, ys)
         np.testing.assert_array_equal(conds, ys)
         with pytest.raises(ValueError):
@@ -67,6 +62,23 @@ class TestStrategies:
         starts, conds = inference_endpoints(ConditioningStrategy.M4, ys, lambda y: 0.5 * y)
         np.testing.assert_array_equal(starts, 0.5 * ys)
         np.testing.assert_array_equal(conds, 0.5 * ys)
+
+    @pytest.mark.parametrize("conditioning", list(ConditioningStrategy), ids=lambda c: c.value)
+    def test_every_strategy_trains_its_own_weights(self, conditioning):
+        """No conditioning overrides the perturbation strategy: with a predictor whose outputs are
+        not the clean values, the three strategies train pairwise-different weights."""
+        task = MixtureTask(dim=2, noise_var=0.25)
+        spec = bridge_model_spec(2, hidden=(8, 8), time_embed_pairs=2)
+        pp = init_params(predictor_spec(2, hidden=(8, 8)), named_stream(30, "predictor"))
+        trained = []
+        for strategy in TrainingStrategy:
+            cfg = TrainConfig(epochs=1, steps_per_epoch=20, batch_size=8, strategy=strategy,
+                              conditioning=conditioning, validation_size=8)
+            params, _, _ = train(task, spec, cfg, SCH, pp, named_stream(31, "train"), SamplerConfig(n_steps=3))
+            trained.append(params.flat)
+        for i in range(len(trained)):
+            for j in range(i):
+                assert not np.array_equal(trained[i], trained[j])
 
 
 class TestVectorCoefficients:
@@ -302,7 +314,7 @@ def reference_train(task, spec, config, schedule, predictor_params, rng, sampler
     it draws in the documented stream order and shares no code with the
     step loop of `train`.
     """
-    strategy, conditioning = config.effective_strategy, config.conditioning
+    strategy, conditioning = config.strategy, config.conditioning
     params = init_params(spec, rng)
     adam = init_adam(params)
     ema = init_ema(params)
