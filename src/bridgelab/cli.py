@@ -8,6 +8,10 @@ Subcommands
     ablation       train and evaluate perturbation strategies
     dump-dataset   write sampled (x, y, x_star) triples as CSV
 
+Each bridge model is one unit of `UNITS`: a label for a (training strategy,
+conditioning) pair.  The label names the model's files and CSV rows and is its
+checkpoint's `meta.method`, which loading checks against the stored pair.
+
 Every CSV starts with a '# generated: ...' timestamp line followed by a
 header whose first field is the schema version; re-running a subcommand
 with the same config and seed reproduces the body byte for byte (the one
@@ -51,6 +55,23 @@ EVAL_PAIRS = 512
 EVAL_REFERENCE = 2048
 DATASET_DUMP_ROWS = 1000
 
+# Every bridge unit by label.  The strategies table reads M1-M5 (M5 is the
+# paper's method: Joint perturbation with M1's routes) and the ablation table
+# Vanilla, InputOnly and Joint.  `train` names a pair by its strategy under M1,
+# by its route under Vanilla and `<strategy>-<route>` otherwise; that name is
+# the pair's last label here.
+UNITS: dict[str, tuple[TrainingStrategy, ConditioningStrategy]] = {
+    **{c.value: (TrainingStrategy.VANILLA, c) for c in ConditioningStrategy},
+    "M5": (TrainingStrategy.JOINT, ConditioningStrategy.M1),
+    **{s.value: (s, ConditioningStrategy.M1) for s in TrainingStrategy},
+    **{
+        f"{s.value}-{c.value}": (s, c)
+        for s in (TrainingStrategy.INPUT_ONLY, TrainingStrategy.JOINT)
+        for c in ConditioningStrategy if c is not ConditioningStrategy.M1
+    },
+}
+
+
 class CheckpointMismatchError(RuntimeError):
     """Checkpoint does not match the configured task/model, or its samples are not finite."""
 
@@ -76,10 +97,6 @@ def write_csv(path: Path, schema: str, columns: list[str], rows: list[list]) -> 
 # training orchestration
 
 
-def _method_label(strategy: TrainingStrategy, conditioning: ConditioningStrategy) -> str:
-    return conditioning.value if conditioning is not ConditioningStrategy.M1 else strategy.value
-
-
 def train_predictor_for_seed(cfg: ExperimentConfig, seed: int, seed_dir: Path) -> tuple[ModelParameters, Path]:
     params = train_predictor(cfg.task, cfg.predictor_spec, cfg.train, named_stream(seed, "predictor"))
     path = seed_dir / "predictor.json"
@@ -94,14 +111,9 @@ def train_predictor_for_seed(cfg: ExperimentConfig, seed: int, seed_dir: Path) -
 
 
 def train_bridge_for_seed(
-    cfg: ExperimentConfig,
-    seed: int,
-    strategy: TrainingStrategy,
-    conditioning: ConditioningStrategy,
-    predictor_params: ModelParameters,
-    seed_dir: Path,
-    label: str | None = None,
+    cfg: ExperimentConfig, seed: int, label: str, predictor_params: ModelParameters, seed_dir: Path
 ) -> Path:
+    strategy, conditioning = UNITS[label]
     train_cfg = replace(cfg.train, strategy=strategy, conditioning=conditioning)
     params, log, selected_epoch = train(
         cfg.task,
@@ -112,7 +124,6 @@ def train_bridge_for_seed(
         named_stream(seed, "train"),
         sampler=cfg.sampler,
     )
-    label = label or _method_label(strategy, conditioning)
     path = seed_dir / f"model_{label}.json"
     save_checkpoint(
         path,
@@ -142,6 +153,19 @@ def train_bridge_for_seed(
         [[r["epoch"], r["train_loss"], r["val_mse"], r["val_w2"], r["is_ema"], r["wall_time_s"]] for r in log],
     )
     return path
+
+
+def train_units_for_seed(cfg: ExperimentConfig, seed: int, labels: list[str], command: str) -> list[Path]:
+    """Train the seed's predictor, then the bridge unit of each label; the written
+    checkpoints, predictor first."""
+    seed_dir = Path(cfg.out_dir) / f"seed_{seed}"
+    print(f"[{command}] seed {seed}: predictor")
+    predictor_params, path = train_predictor_for_seed(cfg, seed, seed_dir)
+    paths = [path]
+    for label in labels:
+        print(f"[{command}] seed {seed}: training {label}")
+        paths.append(train_bridge_for_seed(cfg, seed, label, predictor_params, seed_dir))
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -176,15 +200,12 @@ def _load_bridge(path: Path, cfg: ExperimentConfig) -> tuple[dict, object]:
     meta = ckpt["meta"]
     if meta.get("role") != "bridge":
         raise CheckpointMismatchError(f"checkpoint {path} is not a bridge model")
-    missing = [key for key in ("method", "conditioning") if key not in meta]
-    if missing:
-        raise CheckpointMismatchError(f"checkpoint {path} lacks meta keys {missing}")
-    if not isinstance(meta["method"], str):
-        raise CheckpointMismatchError(f"checkpoint {path}: method must be a string, got {meta['method']!r}")
-    try:
-        conditioning = ConditioningStrategy(meta["conditioning"])
-    except ValueError as exc:
-        raise CheckpointMismatchError(f"checkpoint {path}: {exc}") from exc
+    stored = tuple(meta.get(key) for key in ("method", "strategy", "conditioning"))
+    if not any(stored == (label, s.value, c.value) for label, (s, c) in UNITS.items()):
+        raise CheckpointMismatchError(
+            f"checkpoint {path}: meta (method, strategy, conditioning) {stored!r} names no bridge unit"
+        )
+    conditioning = UNITS[meta["method"]][1]
     if not conditioning.needs_predictor_at_inference:
         return ckpt, None
     name = meta.get("predictor_file", "predictor.json")
@@ -296,18 +317,8 @@ def evaluate_checkpoint_file(
 
 def cmd_train(config_path: str, out_override: str | None = None, seed_override: int | None = None) -> list[Path]:
     cfg = load_config(config_path, out_override, seed_override)
-    out = Path(cfg.out_dir)
-    written = []
-    for seed in cfg.seeds:
-        seed_dir = out / f"seed_{seed}"
-        print(f"[train] seed {seed}: predictor")
-        predictor_params, ppath = train_predictor_for_seed(cfg, seed, seed_dir)
-        label = _method_label(cfg.train.strategy, cfg.train.conditioning)
-        print(f"[train] seed {seed}: bridge model ({label})")
-        mpath = train_bridge_for_seed(
-            cfg, seed, cfg.train.strategy, cfg.train.conditioning, predictor_params, seed_dir
-        )
-        written.extend([ppath, mpath])
+    label = {pair: name for name, pair in UNITS.items()}[(cfg.train.strategy, cfg.train.conditioning)]
+    written = [path for seed in cfg.seeds for path in train_units_for_seed(cfg, seed, [label], "train")]
     for p in written:
         print(f"[train] wrote {p}")
     return written
@@ -389,46 +400,32 @@ def _median_rows(rows: list[list], labels: list[str]) -> list[list]:
 
 
 def _run_grid(
-    name: str,
-    units: list[tuple[str, TrainingStrategy, ConditioningStrategy]],
-    config_path: str,
-    out_override: str | None,
-    seed_override: int | None,
+    name: str, labels: list[str], config_path: str, out_override: str | None, seed_override: int | None
 ) -> Path:
-    """Per seed: train the predictor, then train and evaluate one bridge per
-    (label, strategy, conditioning) unit; write per-seed and median rows."""
+    """Per seed: train the predictor and the unit of each label, then evaluate
+    each unit; write per-seed and median rows."""
     cfg = load_config(config_path, out_override, seed_override)
-    out = Path(cfg.out_dir)
     eval_seed = cfg.seeds[0]
     xs, ys, reference = make_eval_set(cfg, eval_seed)
     reference = ReferenceSet(reference)
     rows = []
     for seed in cfg.seeds:
-        seed_dir = out / f"seed_{seed}"
-        print(f"[{name}] seed {seed}: predictor")
-        predictor_params, _ = train_predictor_for_seed(cfg, seed, seed_dir)
-        for label, strategy, conditioning in units:
-            print(f"[{name}] seed {seed}: training {label}")
-            path = train_bridge_for_seed(cfg, seed, strategy, conditioning, predictor_params, seed_dir, label)
+        for path in train_units_for_seed(cfg, seed, labels, name)[1:]:
             method, report = evaluate_checkpoint_file(cfg, path, xs, ys, reference, eval_seed)
             rows.append([method, seed, report.mse, report.si_sdr_db, report.w2, report.energy_distance])
-    rows.extend(_median_rows(rows, [label for label, _, _ in units]))
-    out_path = out / f"{name}.csv"
+    rows.extend(_median_rows(rows, labels))
+    out_path = Path(cfg.out_dir) / f"{name}.csv"
     write_csv(out_path, f"{name}.v1", ["strategy", "seed", "mse", "si_sdr_db", "w2", "energy_distance"], rows)
     print(f"[{name}] wrote {out_path}")
     return out_path
 
 
 def cmd_strategies(config_path: str, out_override: str | None = None, seed_override: int | None = None) -> Path:
-    # M5 is the paper's method: Joint perturbation with M1's routes
-    units = [(c.value, TrainingStrategy.VANILLA, c) for c in ConditioningStrategy]
-    units.append(("M5", TrainingStrategy.JOINT, ConditioningStrategy.M1))
-    return _run_grid("strategies", units, config_path, out_override, seed_override)
+    return _run_grid("strategies", ["M1", "M2", "M3", "M4", "M5"], config_path, out_override, seed_override)
 
 
 def cmd_ablation(config_path: str, out_override: str | None = None, seed_override: int | None = None) -> Path:
-    units = [(s.value, s, ConditioningStrategy.M1) for s in TrainingStrategy]
-    return _run_grid("ablation", units, config_path, out_override, seed_override)
+    return _run_grid("ablation", ["Vanilla", "InputOnly", "Joint"], config_path, out_override, seed_override)
 
 
 def cmd_dump_dataset(

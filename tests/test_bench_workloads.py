@@ -3,7 +3,7 @@
 `bench/workloads.reproduce_finals` calls `inference_endpoints`,
 `make_bridge_predictor`, `sample_trajectory_batch` and `apply_mlp`
 positionally to regenerate the samples behind a CSV row.  This guard runs it
-on an M2 checkpoint, whose strategy needs the predictor at inference, so a
+on a Joint-M2 checkpoint, whose route needs the predictor at inference, so a
 signature change in any of them fails the regular test run.
 """
 
@@ -30,12 +30,12 @@ def test_reproduce_finals_matches_the_sweep_row(tmp_path, monkeypatch):
     workloads = load_workloads(monkeypatch)
     doc = json.loads((ROOT / "configs" / "smoke.json").read_text())
     doc["train"]["conditioning"] = "M2"
-    config = tmp_path / "m2.json"
+    config = tmp_path / "joint_m2.json"
     config.write_text(json.dumps(doc))
     out = tmp_path / "run"
     seed = 1
     cli.cmd_train(str(config), str(out), seed)
-    ckpt = out / f"seed_{seed}" / "model_M2.json"
+    ckpt = out / f"seed_{seed}" / "model_Joint-M2.json"
     n_steps = doc["sampler"]["n_steps"]
     csv_path = cli.cmd_sweep_steps(str(config), [str(ckpt)], str(n_steps), str(out), seed)
 
@@ -43,5 +43,5 @@ def test_reproduce_finals_matches_the_sweep_row(tmp_path, monkeypatch):
     eval_set = cli.make_eval_set(cfg, seed)
     finals = workloads.reproduce_finals(cfg, ckpt, eval_set, seed, n_steps)
     _, rows = workloads.checks.read_csv(csv_path)
-    assert [(r[1], int(r[2])) for r in rows] == [("M2", n_steps)]
+    assert [(r[1], int(r[2])) for r in rows] == [("Joint-M2", n_steps)]
     assert mse(finals, eval_set[0]) == float(rows[0][3])

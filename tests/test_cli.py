@@ -93,9 +93,9 @@ def sha256(path):
 
 
 @pytest.fixture(scope="module")
-def m2_run(tmp_path_factory):
-    """(config, seed dir) of a trained M2 bridge, whose evaluation loads the sibling predictor."""
-    root = tmp_path_factory.mktemp("m2")
+def joint_m2_run(tmp_path_factory):
+    """(config, seed dir) of a trained Joint-M2 bridge, whose evaluation loads the sibling predictor."""
+    root = tmp_path_factory.mktemp("joint_m2")
     config = root / "config.json"
     doc = json.loads(json.dumps(TINY))
     doc["train"]["conditioning"] = "M2"
@@ -249,14 +249,14 @@ class TestSweepCommand:
             assert code == cli.EXIT_CHECKPOINT
             assert not (tmp_path / "o3").exists()
 
-    def test_loads_each_checkpoint_once(self, m2_run, tmp_path, monkeypatch):
-        config, seed_dir = m2_run
+    def test_loads_each_checkpoint_once(self, joint_m2_run, tmp_path, monkeypatch):
+        config, seed_dir = joint_m2_run
         loaded = []
         load = cli.load_checkpoint
         monkeypatch.setattr(cli, "load_checkpoint", lambda path: loaded.append(path.name) or load(path))
-        ckpt = seed_dir / "model_M2.json"
+        ckpt = seed_dir / "model_Joint-M2.json"
         csv_path = cli.cmd_sweep_steps(str(config), [str(ckpt)], "1,2,5", str(tmp_path))
-        assert loaded == ["model_M2.json", "predictor.json"]
+        assert loaded == ["model_Joint-M2.json", "predictor.json"]
 
         # each row is what a disk-level evaluation against the raw reference array gives
         cfg = load_config(config)
@@ -265,7 +265,7 @@ class TestSweepCommand:
         assert [r[2] for r in rows] == ["1", "2", "5"]
         for row in rows:
             method, report = cli.evaluate_checkpoint_file(cfg, ckpt, xs, ys, reference, 3, n_steps=int(row[2]))
-            assert row[1] == method == "M2"
+            assert row[1] == method == "Joint-M2"
             assert [float(v) for v in row[3:]] == [report.mse, report.si_sdr_db, report.w2, report.energy_distance]
 
     def test_bad_steps_argument(self, tiny_config, tmp_path):
@@ -281,44 +281,48 @@ class TestSweepCommand:
 
 
 class TestCheckpointValidation:
-    def damaged_copy(self, m2_run, tmp_path, damage, name):
-        config, seed_dir = m2_run
+    def damaged_copy(self, joint_m2_run, tmp_path, damage, name):
+        config, seed_dir = joint_m2_run
         run = tmp_path / "damaged"
         run.mkdir()
-        for f in ("predictor.json", "model_M2.json"):
+        for f in ("predictor.json", "model_Joint-M2.json"):
             (run / f).write_bytes((seed_dir / f).read_bytes())
         doc = json.loads((run / name).read_text())
         damage(doc)
         (run / name).write_text(json.dumps(doc))
-        return config, run / "model_M2.json"
+        return config, run / "model_Joint-M2.json"
 
     @pytest.mark.parametrize("command", ["sweep-steps", "exposure-bias"])
     @pytest.mark.parametrize(
         "name,damage",
         [
-            ("model_M2.json", lambda d: d["meta"].pop("conditioning")),
-            ("model_M2.json", lambda d: d["meta"].pop("method")),
-            ("model_M2.json", lambda d: d["meta"].update(conditioning="M9")),
-            ("model_M2.json", lambda d: d["params"].__setitem__(0, float("nan"))),
+            ("model_Joint-M2.json", lambda d: d["meta"].pop("conditioning")),
+            ("model_Joint-M2.json", lambda d: d["meta"].pop("method")),
+            ("model_Joint-M2.json", lambda d: d["meta"].update(conditioning="M9")),
+            ("model_Joint-M2.json", lambda d: d["params"].__setitem__(0, float("nan"))),
             ("predictor.json", lambda d: d["params"].__setitem__(layer_slice(d, "b0").start, float("inf"))),
-            ("model_M2.json", nest_array("w1")),
-            ("model_M2.json", lambda d: drop_array(d, "b2")),
-            ("model_M2.json", lambda d: d["params"].extend(d["params"][layer_slice(d, "w2")])),
-            ("model_M2.json", lambda d: d.update(ema={"decay": 0.999, "shadow": d["params"][:-1]})),
+            ("model_Joint-M2.json", nest_array("w1")),
+            ("model_Joint-M2.json", lambda d: drop_array(d, "b2")),
+            ("model_Joint-M2.json", lambda d: d["params"].extend(d["params"][layer_slice(d, "w2")])),
+            ("model_Joint-M2.json", lambda d: d.update(ema={"decay": 0.999, "shadow": d["params"][:-1]})),
             ("predictor.json", lambda d: drop_array(d, "w0")),
             ("predictor.json", widen_predictor_input),
             ("predictor.json", drop_predictor_layer),
-            ("model_M2.json", scale_array("w2", 1e300)),
-            ("model_M2.json", saturate_head),
+            ("model_Joint-M2.json", scale_array("w2", 1e300)),
+            ("model_Joint-M2.json", saturate_head),
             ("predictor.json", saturate_head),
-            ("model_M2.json", lambda d: d.update(meta=[])),
-            ("model_M2.json", lambda d: d.update(meta=None)),
-            ("model_M2.json", lambda d: d["meta"].update(predictor_file=5)),
-            ("model_M2.json", lambda d: d["meta"].update(method=["M2"])),
-            ("model_M2.json", lambda d: d["spec"].update(time_embed_pairs=float(d["spec"]["time_embed_pairs"]))),
-            ("model_M2.json", lambda d: d["params"].__setitem__(1, True)),
+            ("model_Joint-M2.json", lambda d: d.update(meta=[])),
+            ("model_Joint-M2.json", lambda d: d.update(meta=None)),
+            ("model_Joint-M2.json", lambda d: d["meta"].update(predictor_file=5)),
+            ("model_Joint-M2.json", lambda d: d["meta"].update(method=["Joint-M2"])),
+            ("model_Joint-M2.json", lambda d: d["spec"].update(time_embed_pairs=float(d["spec"]["time_embed_pairs"]))),
+            ("model_Joint-M2.json", lambda d: d["params"].__setitem__(1, True)),
             ("predictor.json", lambda d: d["params"].__setitem__(0, False)),
-            ("model_M2.json", lambda d: d["meta"].update(conditioning="M5")),
+            ("model_Joint-M2.json", lambda d: d["meta"].update(conditioning="M5")),
+            ("model_Joint-M2.json", lambda d: d["meta"].pop("strategy")),
+            ("model_Joint-M2.json", lambda d: d["meta"].update(strategy="Vanilla")),
+            ("model_Joint-M2.json", lambda d: d["meta"].update(method="M2")),  # Vanilla/M2's label
+            ("model_Joint-M2.json", lambda d: d["meta"].update(method="M9")),
         ],
         ids=[
             "no-conditioning", "no-method", "bad-conditioning", "nan-bridge", "inf-predictor",
@@ -326,11 +330,12 @@ class TestCheckpointValidation:
             "predictor-wide-input", "predictor-other-hidden", "w2-overflow", "head-saturated",
             "predictor-head-saturated", "meta-list", "meta-null", "predictor-file-number", "method-list",
             "embed-pairs-float", "params-bool", "predictor-params-bool", "conditioning-M5",
+            "no-strategy", "strategy-Vanilla", "method-M2", "method-M9",
         ],
     )
     @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would be a second line on stderr
-    def test_bad_checkpoint_exit(self, m2_run, tmp_path, capsys, command, name, damage):
-        config, ckpt = self.damaged_copy(m2_run, tmp_path, damage, name)
+    def test_bad_checkpoint_exit(self, joint_m2_run, tmp_path, capsys, command, name, damage):
+        config, ckpt = self.damaged_copy(joint_m2_run, tmp_path, damage, name)
         code = cli.main([command, "--config", str(config), "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_CHECKPOINT
         err = capsys.readouterr().err
@@ -338,8 +343,8 @@ class TestCheckpointValidation:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["sweep-steps", "exposure-bias"])
-    def test_v1_file_exit_4(self, m2_run, tmp_path, capsys, command):
-        config, ckpt = self.damaged_copy(m2_run, tmp_path, lambda d: None, "model_M2.json")
+    def test_v1_file_exit_4(self, joint_m2_run, tmp_path, capsys, command):
+        config, ckpt = self.damaged_copy(joint_m2_run, tmp_path, lambda d: None, "model_Joint-M2.json")
         ckpt.write_text(json.dumps(as_v1(json.loads(ckpt.read_text())), indent=1, sort_keys=True))
         code = cli.main([command, "--config", str(config), "--checkpoint", str(ckpt), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_CHECKPOINT
@@ -348,9 +353,9 @@ class TestCheckpointValidation:
         assert "format 'bridgelab-checkpoint.v1'" in err and "re-run train" in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("name", ["model_M2.json", "predictor.json"])
-    def test_unknown_top_level_key_exit_4(self, m2_run, tmp_path, capsys, name):
-        config, ckpt = self.damaged_copy(m2_run, tmp_path, lambda d: d.update(shadow=d["params"]), name)
+    @pytest.mark.parametrize("name", ["model_Joint-M2.json", "predictor.json"])
+    def test_unknown_top_level_key_exit_4(self, joint_m2_run, tmp_path, capsys, name):
+        config, ckpt = self.damaged_copy(joint_m2_run, tmp_path, lambda d: d.update(shadow=d["params"]), name)
         code = cli.main(["sweep-steps", "--config", str(config), "--checkpoint", str(ckpt),
                          "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_CHECKPOINT
@@ -359,9 +364,9 @@ class TestCheckpointValidation:
         assert "unknown keys ['shadow']" in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("name", ["model_M2.json", "predictor.json"])
-    def test_unreadable_file_exit_4(self, m2_run, tmp_path, capsys, monkeypatch, name):
-        config, ckpt = self.damaged_copy(m2_run, tmp_path, lambda d: None, name)
+    @pytest.mark.parametrize("name", ["model_Joint-M2.json", "predictor.json"])
+    def test_unreadable_file_exit_4(self, joint_m2_run, tmp_path, capsys, monkeypatch, name):
+        config, ckpt = self.damaged_copy(joint_m2_run, tmp_path, lambda d: None, name)
         read_text = Path.read_text
 
         def denied(path, *args, **kwargs):
@@ -511,11 +516,11 @@ class TestOutputWriteFails:
         assert "predictor.json" in err
         assert [p.name for p in (out / "seed_3").iterdir()] == ["predictor.json"]
 
-    def test_sweep_csv(self, m2_run, tmp_path, capsys):
-        config, seed_dir = m2_run
+    def test_sweep_csv(self, joint_m2_run, tmp_path, capsys):
+        config, seed_dir = joint_m2_run
         out = tmp_path / "sweep"
         (out / "sweep_steps.csv").mkdir(parents=True)
-        code = cli.main(["sweep-steps", "--config", str(config), "--checkpoint", str(seed_dir / "model_M2.json"),
+        code = cli.main(["sweep-steps", "--config", str(config), "--checkpoint", str(seed_dir / "model_Joint-M2.json"),
                          "--steps", "1", "--out", str(out)])
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
@@ -609,8 +614,8 @@ SMOKE = Path(__file__).parents[1] / "configs" / "smoke.json"
 CHECKPOINT_WORDS = sorted(
     {"format", "spec", "params", "adam", "ema", "seed_lineage", "meta", "input_dim", "output_dim", "hidden",
      "activation", "time_embed_pairs", "tanh", "role", "bridge", "predictor", "method", "strategy", "conditioning",
-     "seed", "task_dim", "predictor_file", "predictor.json", "model_Joint.json", "model_M2.json", "M1", "M2", "M5",
-     "M9", "Joint", "shadow", "decay", "m", "v", "step", "selected_epoch", "stopped_epoch", "selection_rule",
+     "seed", "task_dim", "predictor_file", "predictor.json", "model_Joint.json", "model_M2.json", "model_Joint-M2.json", "M1", "M2", "M5",
+     "M9", "Joint", "Joint-M2", "Vanilla", "shadow", "decay", "m", "v", "step", "selected_epoch", "stopped_epoch", "selection_rule",
      "bridgelab-checkpoint.v1", "bridgelab-checkpoint.v2"}
 )
 CKPT_SCALARS = st.one_of(
@@ -622,16 +627,16 @@ CKPT_VALUES = st.recursive(
     max_leaves=12,
 )
 CKPT_FUZZ = settings(max_examples=100, deadline=None, derandomize=True)
-# (run, file): the smoke config's Joint bridge, and an M2 bridge whose evaluation reads its predictor
-FUZZ_TARGETS = [("Joint", "model_Joint.json"), ("M2", "model_M2.json"), ("M2", "predictor.json")]
+# (run, file): the smoke config's Joint bridge, and a Joint-M2 bridge whose evaluation reads its predictor
+FUZZ_TARGETS = [("Joint", "model_Joint.json"), ("Joint-M2", "model_Joint-M2.json"), ("Joint-M2", "predictor.json")]
 
 
 @pytest.fixture(scope="module")
 def smoke_runs(tmp_path_factory):
-    """Config path and seed directory per conditioning, trained from configs/smoke.json."""
+    """Config path and seed directory per label, trained from configs/smoke.json."""
     root = tmp_path_factory.mktemp("smoke")
     runs = {}
-    for label, conditioning in (("Joint", "M1"), ("M2", "M2")):
+    for label, conditioning in (("Joint", "M1"), ("Joint-M2", "M2")):
         doc = json.loads(SMOKE.read_text())
         doc["train"]["conditioning"] = conditioning
         config = root / f"{label}.json"
@@ -709,11 +714,13 @@ class TestCheckpointFuzz:
                 assert rows and {r.split(",")[1] for r in rows} == {json.loads(bridge.read_text())["meta"]["method"]}
 
 
-# (strategy, conditioning) that each bridge of the smoke config's subcommands trains, by method label
+# (strategy, conditioning) that each bridge trains, by method label: the strategies and
+# ablation tables' units, and the six `train` labels that neither table uses
 TRAINED_PAIRS = {
     **{f"M{k}": ("Vanilla", f"M{k}") for k in range(1, 5)},
     "M5": ("Joint", "M1"),
     **{s: (s, "M1") for s in ("Vanilla", "InputOnly", "Joint")},
+    **{f"{s}-M{k}": (s, f"M{k}") for s in ("InputOnly", "Joint") for k in range(2, 5)},
 }
 
 
@@ -741,3 +748,33 @@ class TestCheckpointLayout:
             assert meta["stopped_epoch"] == epochs - 1  # patience 20 never stops 3 epochs early
             assert meta["selected_epoch"] in range(epochs)
             assert f"val_mse <= {training.W2_SELECTION_GUARD} x" in meta["selection_rule"]
+
+
+class TestTrainLabels:
+    def test_every_pair_writes_its_own_unit(self, tiny_config, tmp_path):
+        """`train` gives each of the 12 valid (strategy, conditioning) pairs its own files and
+        method label, so one directory holds all 12 and a sweep over them has 12 row labels."""
+        out = tmp_path / "run"
+        pairs = [(s, f"M{k}") for s in ("Vanilla", "InputOnly", "Joint") for k in range(1, 5)]
+        for strategy, conditioning in pairs:
+            doc = json.loads(json.dumps(TINY))
+            doc["train"].update(strategy=strategy, conditioning=conditioning)
+            config = tmp_path / f"{strategy}_{conditioning}.json"
+            config.write_text(json.dumps(doc))
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.cmd_train(str(config), str(out))
+        seed_dir = out / "seed_3"
+        models = sorted(seed_dir.glob("model_*.json"))
+        assert len(models) == 12 and len(list(seed_dir.glob("training_log_*.csv"))) == 12
+        trained = set()
+        for path in models:
+            meta = json.loads(path.read_text())["meta"]
+            assert path.name == f"model_{meta['method']}.json"
+            assert (meta["strategy"], meta["conditioning"]) == TRAINED_PAIRS[meta["method"]], path
+            trained.add((meta["strategy"], meta["conditioning"]))
+        assert trained == set(pairs)
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            csv_path = cli.cmd_sweep_steps(str(tiny_config), [str(p) for p in models], "1", str(out))
+        methods = [line.split(",")[1] for line in csv_body(csv_path).splitlines()[1:]]
+        assert len(methods) == len(set(methods)) == 12
