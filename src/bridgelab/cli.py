@@ -11,6 +11,9 @@ Subcommands
 Each bridge model is one unit of `UNITS`: a label for a (training strategy,
 conditioning) pair.  The label names the model's files and CSV rows and is its
 checkpoint's `meta.method`, which loading checks against the stored pair.
+The units of one seed train from the same stream, so a seed that trains
+several of them draws its training blocks once, into one `DrawRecord` that
+the later units replay.
 
 Every CSV starts with a '# generated: ...' timestamp line followed by a
 header whose first field is the schema version; re-running a subcommand
@@ -38,6 +41,7 @@ from .seeding import named_stream
 from .training import (
     ConditioningStrategy,
     DivergenceError,
+    DrawRecord,
     TrainingStrategy,
     W2_SELECTION_GUARD,
     inference_endpoints,
@@ -111,7 +115,12 @@ def train_predictor_for_seed(cfg: ExperimentConfig, seed: int, seed_dir: Path) -
 
 
 def train_bridge_for_seed(
-    cfg: ExperimentConfig, seed: int, label: str, predictor_params: ModelParameters, seed_dir: Path
+    cfg: ExperimentConfig,
+    seed: int,
+    label: str,
+    predictor_params: ModelParameters,
+    seed_dir: Path,
+    record: DrawRecord | None,
 ) -> Path:
     strategy, conditioning = UNITS[label]
     train_cfg = replace(cfg.train, strategy=strategy, conditioning=conditioning)
@@ -123,6 +132,7 @@ def train_bridge_for_seed(
         predictor_params,
         named_stream(seed, "train"),
         sampler=cfg.sampler,
+        record=record,
     )
     path = seed_dir / f"model_{label}.json"
     save_checkpoint(
@@ -157,14 +167,19 @@ def train_bridge_for_seed(
 
 def train_units_for_seed(cfg: ExperimentConfig, seed: int, labels: list[str], command: str) -> list[Path]:
     """Train the seed's predictor, then the bridge unit of each label; the written
-    checkpoints, predictor first."""
+    checkpoints, predictor first.
+
+    With several labels the units share one record of the seed's training
+    blocks, dropped when this returns; a single unit keeps none.
+    """
     seed_dir = Path(cfg.out_dir) / f"seed_{seed}"
     print(f"[{command}] seed {seed}: predictor")
     predictor_params, path = train_predictor_for_seed(cfg, seed, seed_dir)
     paths = [path]
+    record = DrawRecord() if len(labels) > 1 else None
     for label in labels:
         print(f"[{command}] seed {seed}: training {label}")
-        paths.append(train_bridge_for_seed(cfg, seed, label, predictor_params, seed_dir))
+        paths.append(train_bridge_for_seed(cfg, seed, label, predictor_params, seed_dir, record))
     return paths
 
 

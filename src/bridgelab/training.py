@@ -29,7 +29,10 @@ makes its steps' draws in that order, then computes x_star and the network
 inputs of all its rows at once (nothing there depends on the parameters),
 and only then updates the parameters step by step.  Every operation of the
 batched pass is row by row, so the checkpoints equal those of a loop that
-builds each step's inputs on its own.
+builds each step's inputs on its own.  A unit handed a `DrawRecord` may take
+a block's draws and x_star from it instead of drawing them; it then moves
+its generator to the recorded state after the block, so the generator is
+left where drawing the block would have left it.
 """
 
 from __future__ import annotations
@@ -114,6 +117,47 @@ class TrainConfig:
             raise ValueError("training counts must be positive (epochs may be 0)")
         if self.patience < 0 or self.validation_size < 1:
             raise ValueError("patience must be >= 0 and validation_size >= 1")
+
+
+class DrawRecord:
+    """One seed's training blocks, drawn once and replayed by the seed's later units.
+
+    Units that train from the same stream with the same task, predictor,
+    schedule and counts draw the same blocks: the same (x, y) batches, times
+    and marginal noise, and the same predictor outputs x_star.  The first
+    unit to reach a block draws it and appends its arrays between the
+    generator states before and after it; a later unit checks that its
+    generator stands at the recorded state before the block, takes the
+    arrays and sets its generator to the state after.  A record holds
+    8 * (4d + 1) bytes per training row, so it is kept only while a seed
+    trains several units (`cli.train_units_for_seed`).
+    """
+
+    def __init__(self):
+        self._blocks: list[tuple] = []  # (shape, state before, arrays, state after)
+
+    def block(self, index: int, rng: np.random.Generator, shape: tuple[int, int], draw):
+        """(xs, ys, ts, noise, x_stars) of block `index`, of `shape` = (steps, batch size).
+
+        Past the record's end, `draw()` makes the block from rng and it is
+        appended.  Raises ValueError when the recorded block has another
+        shape or rng is not at its recorded starting state.
+        """
+        if index == len(self._blocks):
+            before = rng.bit_generator.state
+            arrays = draw()
+            for a in arrays:
+                a.flags.writeable = False  # later units read these very arrays
+            self._blocks.append((shape, before, arrays, rng.bit_generator.state))
+            return arrays
+        recorded_shape, before, arrays, after = self._blocks[index]
+        if recorded_shape != shape or rng.bit_generator.state != before:
+            raise ValueError(
+                f"training block {index} was recorded from another stream or block shape "
+                f"(steps, batch size): recorded {recorded_shape}, asked {shape}"
+            )
+        rng.bit_generator.state = after
+        return arrays
 
 
 def batch_inputs(
@@ -206,6 +250,7 @@ def train(
     predictor_params: ModelParameters | None,
     rng: np.random.Generator,
     sampler: SamplerConfig,
+    record: DrawRecord | None = None,
 ) -> tuple[ModelParameters, list[dict], int | None]:
     """Train the bridge model; returns (selected EMA params, log rows, selected epoch).
 
@@ -214,7 +259,9 @@ def train(
 
     predictor_params supplies x_star estimates during training; pass None to
     train against the task's analytic posterior means instead (oracle mode,
-    used in tests).
+    used in tests).  A record shares the training blocks with other units of
+    the same stream, task, predictor and counts; the result is the same
+    with or without it.
     """
     strategy, conditioning = config.strategy, config.conditioning
 
@@ -242,19 +289,28 @@ def train(
 
     batch = config.batch_size
     block_steps = max(1, BLOCK_ROWS // batch)
+
+    def draw_block(n_steps):
+        # every step's draws, in the order a step-by-step loop makes them, then x_star
+        draws = []
+        for _ in range(n_steps):
+            xs, ys = task.sample_measurements(batch, rng)
+            ts = rng.uniform(schedule.t_eps, 1.0, size=batch)
+            draws.append((xs, ys, ts, rng.standard_normal(xs.shape)))
+        xs, ys, ts, noise = (np.concatenate(parts) for parts in zip(*draws))
+        return xs, ys, ts, noise, x_star_fn(ys)
+
     grads = ModelParameters(params.layer_dims)
+    block = 0
     for epoch in range(config.epochs):
         loss_sum = 0.0
         for first in range(0, config.steps_per_epoch, block_steps):
             n_steps = min(block_steps, config.steps_per_epoch - first)
-            # every step's draws, in the order a step-by-step loop makes them
-            draws = []
-            for _ in range(n_steps):
-                xs, ys = task.sample_measurements(batch, rng)
-                ts = rng.uniform(schedule.t_eps, 1.0, size=batch)
-                draws.append((xs, ys, ts, rng.standard_normal(xs.shape)))
-            xs, ys, ts, noise = (np.concatenate(parts) for parts in zip(*draws))
-            x_stars = x_star_fn(ys)
+            if record is None:
+                xs, ys, ts, noise, x_stars = draw_block(n_steps)
+            else:
+                xs, ys, ts, noise, x_stars = record.block(block, rng, (n_steps, batch), lambda: draw_block(n_steps))
+            block += 1
             endpoints, conditions = inference_endpoints(conditioning, ys, lambda _: x_stars)
             inputs, targets = batch_inputs(spec, xs, endpoints, conditions, x_stars, ts, noise, strategy, schedule)
             for k in range(n_steps):

@@ -167,6 +167,13 @@ class TestTrainCommand:
         b = (out_b / "seed_3" / "model_Vanilla.json")
         assert json.loads(a.read_text())["params"] != json.loads(b.read_text())["params"]
 
+    def test_single_unit_keeps_no_draw_record(self, tiny_config, tmp_path, monkeypatch):
+        calls = []
+        real = cli.train
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: calls.append(kwargs) or real(*args, **kwargs))
+        cli.cmd_train(str(tiny_config), str(tmp_path / "run"))
+        assert [kwargs["record"] for kwargs in calls] == [None]
+
     def test_missing_config_exit_code(self, tmp_path, capsys):
         code = cli.main(["train", "--config", str(tmp_path / "none.json")])
         assert code == cli.EXIT_CONFIG

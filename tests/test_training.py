@@ -1,9 +1,14 @@
 """Training strategies, the predictor loop, and the bridge-model loop."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from bridgelab import cli
 from bridgelab.bridge import bridge_marginal, perturb
+from bridgelab.config import load_config
 from bridgelab.metrics import ReferenceSet, perception_distance
 from bridgelab.model import (
     adam_update,
@@ -26,6 +31,7 @@ from bridgelab import training
 from bridgelab.training import (
     ConditioningStrategy,
     DivergenceError,
+    DrawRecord,
     TrainConfig,
     TrainingStrategy,
     W2_SELECTION_GUARD,
@@ -455,3 +461,127 @@ class TestBlockDraws:
         assert messages[0] == messages[1]
         assert messages[0].startswith(f"training diverged at epoch 1, step {poisoned_step}: ")
 
+
+
+# ---------------------------------------------------------------------------
+# one record of a seed's training blocks, shared by the seed's units
+
+
+def shared_doc(task, train_block, sampler):
+    return {
+        "task": task,
+        "schedule": {},
+        "model": {"hidden": [8, 8], "time_embed_pairs": 2},
+        "train": {"strategy": "Joint", "conditioning": "M1", "validation_size": 8, **train_block},
+        "sampler": sampler,
+        "seeds": [1],
+    }
+
+
+SHARED_CONFIGS = {
+    # patience 2 stops the units of seed 1 at different epochs, some after the first unit's last
+    "sde-early-stop": shared_doc(
+        {"kind": "linear_gaussian", "dim": 1, "prior_var": 1.0, "noise_var": 1.0},
+        {"epochs": 12, "steps_per_epoch": 10, "batch_size": 8, "patience": 2},
+        {"n_steps": 4, "kind": "SDE"},
+    ),
+    # blocks of 32 steps at batch 16: each epoch ends in a block of 8 steps
+    "partial-block": shared_doc(
+        {"kind": "mixture", "dim": 2, "noise_var": 0.25},
+        {"epochs": 2, "steps_per_epoch": 40, "batch_size": 16, "patience": 20},
+        {"n_steps": 3, "kind": "SDE"},
+    ),
+    "ode": shared_doc(
+        {"kind": "mixture", "dim": 1, "noise_var": 0.1},
+        {"epochs": 3, "steps_per_epoch": 20, "batch_size": 8, "patience": 20},
+        {"n_steps": 4, "kind": "ODE"},
+    ),
+}
+
+GRID_LABELS = {"strategies": ["M1", "M2", "M3", "M4", "M5"], "ablation": ["Vanilla", "InputOnly", "Joint"]}
+
+
+class TestSharedDraws:
+    @pytest.mark.parametrize("grid", sorted(GRID_LABELS))
+    @pytest.mark.parametrize("case", sorted(SHARED_CONFIGS))
+    def test_units_equal_lone_trainings(self, grid, case, tmp_path, monkeypatch):
+        """Each unit of a seed, trained through `cli.train_units_for_seed` with the record the units
+        share, equals that unit trained alone on its own stream: params, selected epoch, log (without
+        wall_time_s) and the generator state it leaves."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**SHARED_CONFIGS[case], "out_dir": str(tmp_path / "run")}))
+        cfg = load_config(path)
+        calls = []
+
+        def spy(*args, **kwargs):
+            result = train(*args, **kwargs)
+            calls.append((args, kwargs, result, args[5].bit_generator.state))
+            return result
+
+        monkeypatch.setattr(cli, "train", spy)
+        labels = GRID_LABELS[grid]
+        cli.train_units_for_seed(cfg, 1, labels, grid)
+
+        assert len(calls) == len(labels)
+        assert calls[0][1]["record"] is not None
+        assert all(kwargs["record"] is calls[0][1]["record"] for _, kwargs, _, _ in calls)
+        for args, kwargs, (params, log, selected), state in calls:
+            rng = named_stream(1, "train")
+            lone_params, lone_log, lone_selected = train(*args[:5], rng, sampler=kwargs["sampler"])
+            unit = args[2].strategy.value, args[2].conditioning.value
+            np.testing.assert_array_equal(params.flat, lone_params.flat, err_msg=f"{unit}")
+            assert selected == lone_selected, unit
+            strip = lambda rows: [{k: v for k, v in row.items() if k != "wall_time_s"} for row in rows]  # noqa: E731
+            assert strip(log) == strip(lone_log), unit
+            assert state == rng.bit_generator.state, unit
+
+        stopped = [len(result[1]) for _, _, result, _ in calls]
+        if case == "sde-early-stop":
+            assert len(set(stopped)) > 1 and max(stopped[1:]) > stopped[0]  # later units draw past the record
+        if case == "partial-block":
+            assert cfg.train.steps_per_epoch % (training.BLOCK_ROWS // cfg.train.batch_size) != 0
+
+
+class TestDrawRecord:
+    def small_setup(self, epochs=2):
+        task = MixtureTask(dim=2, noise_var=0.25)
+        spec = bridge_model_spec(2, hidden=(8,), time_embed_pairs=2)
+        cfg = TrainConfig(epochs=epochs, steps_per_epoch=20, batch_size=8, strategy=TrainingStrategy.JOINT,
+                          validation_size=8)
+        return task, spec, cfg
+
+    def test_record_of_another_seed_raises_at_first_block(self):
+        task, spec, cfg = self.small_setup()
+        record = DrawRecord()
+        train(task, spec, cfg, SCH, None, named_stream(1, "train"), SamplerConfig(n_steps=3), record=record)
+        with pytest.raises(ValueError, match="training block 0 was recorded from another stream"):
+            train(task, spec, cfg, SCH, None, named_stream(2, "train"), SamplerConfig(n_steps=3), record=record)
+
+    def test_record_of_another_batch_size_raises_at_first_block(self):
+        """Init weights and the validation draws do not depend on the batch size, so the stream stands
+        at the recorded state; the block's shape tells the records apart."""
+        task, spec, cfg = self.small_setup()
+        record = DrawRecord()
+        train(task, spec, cfg, SCH, None, named_stream(1, "train"), SamplerConfig(n_steps=3), record=record)
+        with pytest.raises(ValueError, match="training block 0 .* recorded \\(20, 8\\), asked \\(20, 16\\)"):
+            train(task, spec, replace(cfg, batch_size=16), SCH, None, named_stream(1, "train"),
+                  SamplerConfig(n_steps=3), record=record)
+
+    def test_later_unit_draws_only_past_the_record(self, monkeypatch):
+        """A unit that trains one epoch more than the recorder draws its validation set and that epoch's
+        batches, and computes x_star for that epoch's block only."""
+        task, spec, cfg = self.small_setup(epochs=2)
+        record = DrawRecord()
+        train(task, spec, cfg, SCH, None, named_stream(1, "train"), SamplerConfig(n_steps=3), record=record)
+        counts = {"sample_measurements": 0, "posterior_mean": 0}
+        for name in counts:
+            original = getattr(MixtureTask, name)
+
+            def counting(self, *args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(MixtureTask, name, counting)
+        longer = replace(cfg, epochs=3)
+        train(task, spec, longer, SCH, None, named_stream(1, "train"), SamplerConfig(n_steps=3), record=record)
+        assert counts == {"sample_measurements": 1 + cfg.steps_per_epoch, "posterior_mean": 1}
